@@ -71,12 +71,11 @@ def mandelbrot_reference(width: int, height: int, max_iters: int = MAX_ITERS) ->
 def _kernel_item(item, out, width, height, max_iters):
     """ND-range SYCL kernel, one pixel per work-item.
 
-    The escape loop is written as masked early-exit accumulation (the
-    exact structure of :func:`mandelbrot_reference`): ``alive`` freezes
-    ``z`` and the count once the orbit escapes, instead of ``break`` —
-    the batchable-dialect form of a data-dependent loop exit, and
-    bit-identical to the classic break form because a frozen ``z``
-    keeps ``escaped`` true for every later iteration.
+    The escape loop is the classic ``break`` form of the paper's §5.3
+    example.  The compiled tier lowers the ``break`` to a per-lane exit
+    mask (``count`` freezes at each lane's escape) and stops the batched
+    loop once every pixel has escaped, so the kernel is bit-identical to
+    :func:`mandelbrot_reference` on every tier.
     """
     gy = item.get_global_id(0)
     gx = item.get_global_id(1)
@@ -95,15 +94,13 @@ def _kernel_item(item, out, width, height, max_iters):
     two = np.float32(2.0)
     four = np.float32(4.0)
     count = 0
-    alive = True
     for _ in range(max_iters):
         nzx = zx * zx - zy * zy + cx
         nzy = two * zx * zy + cy
-        zx = np.where(alive, nzx, zx)
-        zy = np.where(alive, nzy, zy)
-        escaped = zx * zx + zy * zy > four
-        alive = np.logical_and(alive, np.logical_not(escaped))
-        count = count + np.where(alive, 1, 0)
+        zx, zy = nzx, nzy
+        if zx * zx + zy * zy > four:
+            break
+        count += 1
     out[gy, gx] = count
 
 

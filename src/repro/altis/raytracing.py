@@ -237,6 +237,25 @@ def render(width: int, height: int, samples: int, scene, rng,
     return np.clip(np.sqrt(img), 0.0, 1.0)  # gamma 2
 
 
+def _render_workload(workload: Workload, rng_kind: str) -> np.ndarray:
+    p = workload.params
+    scene = make_scene(p["spheres"], p["seed"])
+    if rng_kind == "philox":
+        rng = np.random.Generator(np.random.Philox(p["seed"] + 1))
+    else:
+        # XORWOW stand-in stream: a different, deterministic stream
+        # (numpy lacks xorwow; the *distinctness* of streams is what
+        # the paper's caveat is about)
+        rng = np.random.Generator(np.random.PCG64(p["seed"] + 2))
+    return render(p["width"], p["height"], p["samples"], scene, rng)
+
+
+def _kernel_vector(nd_range, img, workload, rng_kind):
+    """Whole-range render.  Module level, so every launch shares one
+    launch plan (a per-call closure would miss the plan cache)."""
+    img[:] = _render_workload(workload, rng_kind)
+
+
 class Raytracing(AltisApp):
     name = "Raytracing"
     configs = ("Raytracing",)
@@ -267,30 +286,14 @@ class Raytracing(AltisApp):
 
     def reference(self, workload: Workload) -> dict[str, np.ndarray]:
         """Reference = the Philox-stream render (the SYCL flavour)."""
-        return {"img": self._render(workload, rng_kind="philox")}
-
-    def _render(self, workload: Workload, rng_kind: str) -> np.ndarray:
-        p = workload.params
-        scene = make_scene(p["spheres"], p["seed"])
-        if rng_kind == "philox":
-            rng = np.random.Generator(np.random.Philox(p["seed"] + 1))
-        else:
-            # XORWOW stand-in stream: a different, deterministic stream
-            # (numpy lacks xorwow; the *distinctness* of streams is what
-            # the paper's caveat is about)
-            rng = np.random.Generator(np.random.PCG64(p["seed"] + 2))
-        return render(p["width"], p["height"], p["samples"], scene, rng)
+        return {"img": _render_workload(workload, rng_kind="philox")}
 
     def kernels(self, variant: Variant = Variant.SYCL_OPT) -> dict[str, KernelSpec]:
         fpga = variant in (Variant.FPGA_BASE, Variant.FPGA_OPT)
         wg = (1, 1, 64) if fpga else None
-
-        def vec(nd_range, img, workload, rng_kind):
-            img[:] = self._render(workload, rng_kind)
-
         kern = KernelSpec(
             name="render", kind=KernelKind.ND_RANGE,
-            vector_fn=vec,
+            vector_fn=_kernel_vector,
             attributes=KernelAttributes(reqd_work_group_size=wg,
                                         max_work_group_size=wg),
             features={"body_fmas": 40, "body_ops": 90,

@@ -74,8 +74,9 @@ DEFAULT_TOLERANCES: tuple = (
             higher_is_better=True, tolerance=2.0),
     Watched(("executor_tiers", "apps", "KMeans", "compiled_vs_item"),
             higher_is_better=True, tolerance=2.0),
-    Watched(("executor_tiers", "apps", "Mandelbrot", "compiled_vs_item"),
-            higher_is_better=True, tolerance=2.0),
+    # Mandelbrot's per-item run stops at each pixel's escape, so its
+    # ratio tracks the image, not the compiled tier: guard the time
+    Watched(("executor_tiers", "apps", "Mandelbrot", "compiled_s")),
     Watched(("executor_tiers", "apps", "CFD FP32", "compiled_vs_item"),
             higher_is_better=True, tolerance=2.0),
     Watched(("executor_tiers", "apps", "LavaMD", "compiled_vs_item"),

@@ -43,6 +43,13 @@ How a kernel becomes a batched program
   globals, enclosing loop variables) unroll into one batched body
   execution per iteration — a barrier yield in the body becomes one
   array phase per iteration, matching the interpreter's schedule;
+* a data-dependent exit ``if cond: [stores / rebinds]; break`` at the
+  top level of such a loop's body retires the lanes that took it
+  (``__lanes__.retire``, scoped to the loop by ``__lanes__.loop()``):
+  later stores skip them, every name written in the loop and read
+  after it updates as ``np.where(live, new, old)``
+  (``__lanes__.merge``), and the batched loop stops once no lane is
+  left;
 * ``LocalAccessor`` tiles become per-group ``(groups, *tile)`` shadow
   arrays (:class:`_BatchLocal`): every subscript is prefixed with the
   lane's group-linear id, so work-group locality survives batching;
@@ -52,7 +59,8 @@ How a kernel becomes a batched program
   :data:`_MATH_TO_NP` (``math.sqrt`` → ``np.sqrt`` …).
 
 Anything still outside this dialect — ``while`` loops, data-dependent
-trip counts, ``break``/``continue``, remaining scalar builtins
+trip counts, ``continue``, ``break`` anywhere but a top-level loop-body
+``if``, remaining scalar builtins
 (``len``/``sum``/``divmod`` …), calls into non-numpy modules,
 non-constant slices, closures, value returns — makes the kernel
 statically ineligible with a targeted reason.
@@ -82,6 +90,7 @@ import os
 import textwrap
 import threading
 import types
+from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -218,12 +227,49 @@ def _np_call(fn: str, args: list) -> ast.Call:
         args=args, keywords=[])
 
 
+def _name_loads(nodes) -> Counter:
+    """How often each name is read in ``nodes`` (an augmented
+    assignment reads its target too)."""
+    loads = Counter()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads[node.id] += 1
+            elif (isinstance(node, ast.AugAssign)
+                  and isinstance(node.target, ast.Name)):
+                loads[node.target.id] += 1
+    return loads
+
+
+def _is_break_arm(s) -> bool:
+    """``if <cond>: ...; break`` — a loop's data-dependent exit."""
+    return (isinstance(s, ast.If) and not s.orelse
+            and isinstance(s.body[-1], ast.Break))
+
+
+class _ExitLoop:
+    """Rewrite state of one loop with a break arm.
+
+    ``live`` — names read outside the loop, whose per-lane values must
+    freeze when a lane exits; ``bound`` — names bound before the loop
+    (the only ones a merge may fall back to); ``arm`` — set while a
+    break arm is rewritten, where every rebind merges.
+    """
+
+    __slots__ = ("live", "bound", "arm")
+
+    def __init__(self, live: set, bound: set):
+        self.live = live
+        self.bound = bound
+        self.arm = False
+
+
 class _Rewriter:
     """Rewrites one kernel body into the batched dialect, or raises
     :class:`_Ineligible` with the reason it cannot."""
 
     def __init__(self, index_name: str, glb: dict, is_generator: bool,
-                 params: set):
+                 params: set, body: list):
         self.index = index_name
         self.glb = glb
         self.is_gen = is_generator
@@ -233,6 +279,16 @@ class _Rewriter:
         #: loop trip count may not depend on them (loop *targets* are
         #: uniform per-iteration scalars and deliberately excluded)
         self.assigned = set()
+        #: name reads over the whole kernel; a loop's live-out set is
+        #: the names read more often here than inside the loop
+        self.loads = _name_loads(body)
+        #: enclosing loops with a break arm, innermost last
+        self.exits: list[_ExitLoop] = []
+
+    def _tmp(self, kind: str) -> str:
+        name = f"__vec_{kind}{self.tmp_count}__"
+        self.tmp_count += 1
+        return name
 
     def fail(self, reason: str):
         raise _Ineligible(reason)
@@ -268,7 +324,7 @@ class _Rewriter:
                 return []  # trailing bare return
             self.fail("early return outside a top-level guard")
         if isinstance(s, ast.Assign):
-            return [self.assign(s, predicated=predicated)]
+            return self.assign(s, predicated=predicated)
         if isinstance(s, ast.AugAssign):
             return [self.aug_assign(s, predicated=predicated)]
         if isinstance(s, ast.If):
@@ -276,6 +332,13 @@ class _Rewriter:
                                 in_loop=in_loop)
         if isinstance(s, ast.For):
             return self.for_stmt(s, top=top, predicated=predicated)
+        if isinstance(s, ast.Continue):
+            self.fail("continue in a loop (lane-divergent skip of the "
+                      "rest of the body)")
+        if isinstance(s, ast.Break):
+            self.fail("break below the loop-body top level (only `if "
+                      "<cond>: ...; break` directly in a for body exits "
+                      "lanes)")
         for cls, why in ((ast.While, "while loop"),
                          (ast.With, "with block"), (ast.Try, "try block"),
                          (ast.Raise, "raise"), (ast.Assert, "assert"),
@@ -291,15 +354,15 @@ class _Rewriter:
         """A ``for <name> in range(...)`` loop over a launch-invariant
         trip count.
 
-        Every lane runs the same iterations (the trip count may only
+        Every lane enters the same iterations (the trip count may only
         come from constants, kernel scalar arguments, module globals, or
         enclosing loop variables — all launch-invariant), so the loop
         unrolls at runtime into one batched body execution per
         iteration; a barrier yield inside the body becomes one array
         phase *per iteration*, which is exactly the interpreter's phase
-        schedule.  ``break``/``continue`` make lanes diverge and stay
-        ineligible — data-dependent exits are rewritten as masked
-        accumulation (see the Mandelbrot escape iteration).
+        schedule.  A body with a break arm lowers through
+        :meth:`exit_loop`; ``continue`` and a ``break`` anywhere else
+        stay ineligible.
         """
         if predicated:
             self.fail("for loop inside a conditional (lane-divergent "
@@ -320,14 +383,100 @@ class _Rewriter:
                         node.id == self.index or node.id in self.assigned):
                     self.fail(f"loop trip count depends on {node.id!r}, "
                               "which is not launch-invariant")
-        for sub in ast.walk(s):
-            if isinstance(sub, (ast.Break, ast.Continue)):
-                self.fail("break/continue in a loop (lane-divergent exit; "
-                          "rewrite as masked accumulation)")
         rng = ast.Call(func=it.func, args=[self.expr(a) for a in it.args],
                        keywords=[])
+        if any(_is_break_arm(b) for b in s.body):
+            return self.exit_loop(s, rng)
         body = self.block(s.body, top=top, predicated=False, in_loop=True)
         return [ast.For(target=s.target, iter=rng, body=body, orelse=[])]
+
+    def exit_loop(self, s: ast.For, rng: ast.Call) -> list:
+        """A loop whose body exits lanes through ``if <cond>: ...;
+        break`` arms at its top level.
+
+        Lowers to::
+
+            with __lanes__.loop():          # restores the mask on exit
+                for <target> in range(...):
+                    <statements before the arm>
+                    __vec_cN__ = <cond>
+                    with __lanes__.where(__vec_cN__):
+                        <arm stores; rebinds via __lanes__.merge>
+                    if __lanes__.retire(__vec_cN__):  # no lane left
+                        break
+                    <statements after the arm>
+
+        Exited lanes keep computing garbage for names nobody reads
+        again; a name read after the loop is rebound as
+        ``__lanes__.merge(new, old)`` so it freezes at the lane's exit
+        value.  That needs a value before the loop, and loop variables
+        (whose exit value differs per lane) must not be read after it.
+        """
+        for node in ast.walk(s):
+            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                self.fail("barrier inside a loop with break (exited lanes "
+                          "would skip it)")
+            if isinstance(node, ast.Return):
+                self.fail("return inside a loop with break")
+        inside = _name_loads([s])
+        live = {name for name, n in self.loads.items()
+                if n > inside.get(name, 0)}
+        for node in ast.walk(s):
+            if (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                    and node.target.id in live):
+                self.fail(f"loop variable {node.target.id!r} is read after "
+                          "a loop with break (its exit value differs per "
+                          "lane)")
+        frame = _ExitLoop(live, self.assigned | self.params)
+        self.exits.append(frame)
+        body = []
+        for b in s.body:
+            if not _is_break_arm(b):
+                body.extend(self.stmt(b, top=False, predicated=False,
+                                      last=False, in_loop=True))
+                continue
+            cond = self._tmp("c")
+            body.append(ast.Assign(
+                targets=[ast.Name(cond, ctx=ast.Store())],
+                value=self.expr(b.test)))
+            arm = []
+            frame.arm = True
+            for a in b.body[:-1]:
+                if not isinstance(a, (ast.Assign, ast.AugAssign)):
+                    self.fail("a break arm may only store to arrays and "
+                              "rebind names bound before the loop")
+                arm.extend(self.stmt(a, top=False, predicated=False,
+                                     last=False))
+            frame.arm = False
+            if arm:
+                body.append(ast.With(
+                    items=[ast.withitem(context_expr=_lanes_call(
+                        "where", [ast.Name(cond, ctx=ast.Load())]))],
+                    body=arm))
+            body.append(ast.If(
+                test=_lanes_call("retire", [ast.Name(cond, ctx=ast.Load())]),
+                body=[ast.Break()], orelse=[]))
+        self.exits.pop()
+        loop = ast.For(target=s.target, iter=rng, body=body, orelse=[])
+        return [ast.With(items=[ast.withitem(
+            context_expr=_lanes_call("loop", []))], body=[loop])]
+
+    def _merges(self, name: str) -> bool:
+        """Whether a rebind of ``name`` must keep exited lanes' values."""
+        if not self.exits:
+            return False
+        frame = self.exits[-1]
+        if not (frame.arm or name in frame.live):
+            return False
+        if name not in frame.bound:
+            self.fail(f"{name!r} is rebound in a loop with break but not "
+                      "bound before it (exited lanes have no value to "
+                      "keep)")
+        return True
+
+    @staticmethod
+    def _merge(name: str, value) -> ast.Call:
+        return _lanes_call("merge", [value, ast.Name(name, ctx=ast.Load())])
 
     def if_stmt(self, s: ast.If, *, top: bool, predicated: bool,
                 in_loop: bool = False) -> list:
@@ -343,8 +492,7 @@ class _Rewriter:
         # Predicated conditional: the condition is evaluated exactly once
         # (body stores may mutate its operands), then each arm runs with
         # the lane mask narrowed — a select-style conditional.
-        cond_name = f"__vec_c{self.tmp_count}__"
-        self.tmp_count += 1
+        cond_name = self._tmp("c")
         out = [ast.Assign(targets=[ast.Name(cond_name, ctx=ast.Store())],
                           value=self.expr(s.test))]
         body = self.block(s.body, top=False, predicated=True)
@@ -378,19 +526,32 @@ class _Rewriter:
                 self.fail("barrier argument must be a fence-space constant")
         return s  # kept verbatim: one yield = one array phase
 
-    def assign(self, s: ast.Assign, *, predicated: bool) -> ast.Assign:
+    def assign(self, s: ast.Assign, *, predicated: bool) -> list:
         if len(s.targets) != 1:
             self.fail("chained assignment")
-        return ast.Assign(
-            targets=[self.store_target(s.targets[0], predicated)],
-            value=self.expr(s.value))
+        merges = []
+        orig = s.targets[0]
+        target = self.store_target(orig, predicated, merges)
+        value = self.expr(s.value)
+        if merges and isinstance(orig, ast.Name):
+            return [ast.Assign(targets=[orig],
+                               value=self._merge(orig.id, value))]
+        # tuple targets unpack into temps, then merge one by one
+        return [ast.Assign(targets=[target], value=value)] + [
+            ast.Assign(targets=[ast.Name(name, ctx=ast.Store())],
+                       value=self._merge(name, ast.Name(tmp, ctx=ast.Load())))
+            for name, tmp in merges]
 
-    def store_target(self, t, predicated: bool):
+    def store_target(self, t, predicated: bool, merges: list):
         if isinstance(t, ast.Name):
             if predicated:
                 self.fail(f"assignment to name {t.id!r} inside a "
                           "conditional (lane-divergent binding)")
             self.assigned.add(t.id)
+            if self._merges(t.id):
+                tmp = self._tmp("t")
+                merges.append((t.id, tmp))
+                return ast.Name(tmp, ctx=ast.Store())
             return t
         if isinstance(t, ast.Subscript):
             return ast.Subscript(value=self.expr(t.value),
@@ -398,7 +559,8 @@ class _Rewriter:
                                  ctx=ast.Store())
         if isinstance(t, ast.Tuple):
             return ast.Tuple(
-                elts=[self.store_target(e, predicated) for e in t.elts],
+                elts=[self.store_target(e, predicated, merges)
+                      for e in t.elts],
                 ctx=ast.Store())
         self.fail(f"unsupported assignment target {type(t).__name__}")
 
@@ -408,6 +570,12 @@ class _Rewriter:
                 self.fail(f"augmented assignment to name {s.target.id!r} "
                           "inside a conditional")
             self.assigned.add(s.target.id)
+            if self._merges(s.target.id):
+                name = s.target.id
+                new = ast.BinOp(left=ast.Name(name, ctx=ast.Load()),
+                                op=s.op, right=self.expr(s.value))
+                return ast.Assign(targets=[ast.Name(name, ctx=ast.Store())],
+                                  value=self._merge(name, new))
             target = s.target
         elif isinstance(s.target, ast.Subscript):
             target = ast.Subscript(value=self.expr(s.target.value),
@@ -604,7 +772,7 @@ def _translate(fn) -> tuple:
     glb = dict(fn.__globals__)
     glb["__vec_np__"] = np
     is_gen = inspect.isgeneratorfunction(fn)
-    rewriter = _Rewriter(params[0], glb, is_gen, set(params))
+    rewriter = _Rewriter(params[0], glb, is_gen, set(params), fdef.body)
     body = rewriter.block(fdef.body, top=True, predicated=False)
     new_name = fdef.name + "__batched"
     new_def = ast.FunctionDef(
@@ -642,47 +810,77 @@ def translate(fn) -> tuple:
 # Lane runtime
 # ---------------------------------------------------------------------------
 
+_BOOL = np.dtype(bool)
+
+
 class _LaneCtx:
     """The live-lane mask of one batched launch.
 
     ``mask is None`` means every lane is live (the fast path — no
     boolean array is ever materialized for unguarded kernels).
-    ``refine`` retires the lanes a top-level guard returned for;
-    ``where`` / ``where_not`` narrow the mask for one predicated region
-    and restore it on exit.
+    ``refine`` retires the lanes a top-level guard returned for,
+    ``retire`` the lanes a break arm took out of a ``loop``; ``where``
+    / ``where_not`` narrow the mask for one predicated region.
+    ``loop`` / ``where`` / ``where_not`` are used as ``with`` and
+    restore the mask they found on exit (a plain-class context
+    manager: these run once per loop iteration, where a generator-based
+    one would cost more than the masking itself).
     """
 
-    __slots__ = ("n", "mask")
+    __slots__ = ("n", "mask", "_saved")
 
     def __init__(self, n: int):
         self.n = n
         self.mask = None
+        self._saved = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.mask = self._saved.pop()
+        return False
+
+    def _as_lanes(self, cond) -> np.ndarray:
+        """``cond`` as an ``(n,)`` bool array (lane conditions — the
+        common case inside loops — pass through without a broadcast)."""
+        if (isinstance(cond, np.ndarray) and cond.dtype is _BOOL
+                and cond.shape == (self.n,)):
+            return cond
+        return np.broadcast_to(np.asarray(cond, dtype=bool), (self.n,))
 
     def refine(self, cond) -> None:
-        cond = np.broadcast_to(np.asarray(cond, dtype=bool), (self.n,))
-        keep = np.logical_not(cond)
-        self.mask = (keep.copy() if self.mask is None
+        keep = np.logical_not(self._as_lanes(cond))
+        self.mask = (keep if self.mask is None
                      else np.logical_and(self.mask, keep))
 
-    @contextmanager
-    def where(self, cond):
-        yield from self._masked(cond, invert=False)
+    def loop(self) -> "_LaneCtx":
+        """Scope of a loop with break arms: lanes retired by ``refine``
+        inside it are live again after it."""
+        self._saved.append(self.mask)
+        return self
 
-    @contextmanager
-    def where_not(self, cond):
-        yield from self._masked(cond, invert=True)
+    def retire(self, cond) -> bool:
+        """Retire the lanes leaving a loop; True once none is left."""
+        self.refine(cond)
+        return not np.count_nonzero(self.mask)
 
-    def _masked(self, cond, *, invert: bool):
-        cond = np.broadcast_to(np.asarray(cond, dtype=bool), (self.n,))
-        if invert:
-            cond = np.logical_not(cond)
+    def merge(self, new, old):
+        """``new`` on live lanes, ``old`` on retired ones."""
+        return new if self.mask is None else np.where(self.mask, new, old)
+
+    def where(self, cond) -> "_LaneCtx":
+        return self._narrow(self._as_lanes(cond))
+
+    def where_not(self, cond) -> "_LaneCtx":
+        return self._narrow(np.logical_not(self._as_lanes(cond)))
+
+    def _narrow(self, cond: np.ndarray) -> "_LaneCtx":
         saved = self.mask
+        self._saved.append(saved)
         self.mask = (cond.copy() if saved is None
                      else np.logical_and(saved, cond))
-        try:
-            yield
-        finally:
-            self.mask = saved
+        return self
 
 
 class _BatchArray:

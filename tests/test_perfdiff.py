@@ -68,6 +68,7 @@ def _scale_walls(rec: dict, factor: float) -> dict:
     nw["warm_planned_s"] = [v * factor for v in nw["warm_planned_s"]]
     out["srad_group"]["warm_planned_s"] *= factor
     out["executor_tiers"]["compiled_s"] *= factor
+    out["executor_tiers"]["apps"]["Mandelbrot"]["compiled_s"] *= factor
     out["figure_sweep"]["warm_s"] *= factor
     return out
 
@@ -119,6 +120,22 @@ def test_higher_is_better_direction():
     # improvement in a lower-better metric is never a regression
     faster = _scale_walls(prev, 0.3)
     assert compare_records(prev, faster).status == "ok"
+
+
+def test_mandelbrot_watch_is_compiled_time():
+    """Mandelbrot is guarded on its compiled time (lower is better),
+    not on the compiled-vs-item ratio: a faster per-item path that
+    shrinks the ratio is no regression, a slower compiled tier is."""
+    prev = _record()
+    ratio_drop = _record(**{
+        "executor_tiers.apps.Mandelbrot.compiled_vs_item": 2.0,
+        "executor_tiers.apps.Mandelbrot.item_s": 0.008})
+    assert compare_records(prev, ratio_drop).status == "ok"
+    slower = _record(**{"executor_tiers.apps.Mandelbrot.compiled_s": 0.008})
+    result = compare_records(prev, slower)
+    assert result.status == "regression"
+    assert [d.name for d in result.regressions] == [
+        "executor_tiers.apps.Mandelbrot.compiled_s"]
 
 
 def test_list_timings_reduced_with_min():

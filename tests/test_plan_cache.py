@@ -170,6 +170,20 @@ class TestCacheBehavior:
         clear_plan_caches()
         assert plan_cache_info()["size"] == 0
 
+    def test_app_cells_share_one_plan_across_seeds(self):
+        """Raytracing's vector form is a module-level function, not a
+        per-call closure over the app, so two cells with different
+        seeds (same launch shape) reuse one plan."""
+        from repro.harness.runner import run_functional
+
+        clear_plan_caches()
+        assert run_functional("Raytracing", seed=0).verified
+        first = plan_cache_info()
+        assert run_functional("Raytracing", seed=1).verified
+        second = plan_cache_info()
+        assert second["compiles"] == first["compiles"] == 1
+        assert second["size"] == 1 and second["hits"] == first["hits"] + 1
+
     def test_lru_bounded_under_distinct_ranges(self):
         clear_plan_caches()
         previous = set_plan_cache_limit(4)

@@ -126,15 +126,134 @@ def _while_item(item, out, src, n):
     out[i] = acc
 
 
-def _break_item(item, out, src, n):
+def _continue_item(item, out, src, n):
     i = item.get_global_linear_id()
     if i >= n:
         return
     acc = 0.0
     for k in range(3):
         if k == 2:
-            break
+            continue
         acc = acc + src[i]
+    out[i] = acc
+
+
+def _break_item(item, out, src, n):
+    # lane-divergent exit: each lane stops at its own k, and both names
+    # of the tuple rebind freeze there
+    i = item.get_global_linear_id()
+    if i >= n:
+        return
+    acc = 0.0
+    prev = 0.0
+    for k in range(8):
+        acc, prev = acc + src[i], acc
+        if acc > 2.0:
+            break
+        acc = acc * 1.5
+    out[i] = acc - prev
+
+
+def _break_arm_item(item, out, src, n):
+    # a break arm that stores and rebinds (the CDF-search shape), and
+    # two exits in one body
+    i = item.get_global_linear_id()
+    if i >= n:
+        return
+    target = src[i]
+    chosen = n - 1
+    for j in range(n):
+        if src[j] * 0.5 >= target:
+            chosen = j
+            out[i] = src[j]
+            break
+        if src[j] > 0.97:
+            chosen = -j
+            break
+    if chosen < 0:
+        out[i] = chosen * 1.0
+    if chosen == n - 1:
+        out[i] = -0.5
+
+
+def _nested_exit_item(item, out, src, n):
+    # a break loop inside a break loop inside a plain loop: each break
+    # exits only its own loop
+    i = item.get_global_linear_id()
+    if i >= n:
+        return
+    total = 0.0
+    for r in range(3):
+        steps = 0
+        for a in range(6):
+            inner = 0.0
+            for b in range(5):
+                inner = inner + src[(i + a + b) % n]
+                if inner > 1.5:
+                    break
+            total = total + inner * (r + 1)
+            if total > 4.0 + r:
+                steps = steps + a
+                break
+            steps = steps + 1
+        total = np.where(steps > 3, total * 0.5, total)
+    out[i] = total
+
+
+def _early_exit_item(item, out, stops, n):
+    i = item.get_global_linear_id()
+    if i >= n:
+        return
+    k = 0
+    for j in range(1_000_000):
+        if j >= stops[i]:
+            break
+        k += 1
+    out[i] = k
+
+
+def _nested_break_item(item, out, src, n):
+    i = item.get_global_linear_id()
+    if i >= n:
+        return
+    acc = 0.0
+    for k in range(3):
+        if src[i] > 0.5:
+            if k == 2:
+                break
+        acc = acc + src[i]
+    out[i] = acc
+
+
+def _exit_var_item(item, out, src, n):
+    i = item.get_global_linear_id()
+    if i >= n:
+        return
+    for k in range(8):
+        if src[i] * k > 1.0:
+            break
+    out[i] = k
+
+
+def _unbound_rebind_item(item, out, src, n):
+    i = item.get_global_linear_id()
+    if i >= n:
+        return
+    for k in range(8):
+        last = src[i] * k
+        if last > 1.0:
+            break
+    out[i] = last
+
+
+def _break_barrier_item(item, out, src, n):
+    i = item.get_global_linear_id()
+    acc = 0.0
+    for k in range(4):
+        acc = acc + src[i]
+        if acc > 1.0:
+            break
+        yield item.barrier()
     out[i] = acc
 
 
@@ -208,7 +327,8 @@ def _nd(n=64, wg=16):
 
 def test_eligible_forms():
     for fn in (_scale_item, _select_item, _branch_item, _stencil_item,
-               _loop_item, _min_builtin_item, _math_item):
+               _loop_item, _min_builtin_item, _math_item, _break_item,
+               _break_arm_item, _nested_exit_item, _early_exit_item):
         assert eligible_form(_spec(fn)) == ("item", None)
     form, reason = eligible_form(
         KernelSpec(name="g", kind=KernelKind.ND_RANGE, group_fn=_group_sum))
@@ -218,12 +338,24 @@ def test_eligible_forms():
 def test_ineligible_reasons_are_precise():
     form, reason = eligible_form(_spec(_while_item))
     assert form is None and "while loop" in reason
-    form, reason = eligible_form(_spec(_break_item))
-    assert form is None and "break/continue" in reason
+    form, reason = eligible_form(_spec(_continue_item))
+    assert form is None and "continue" in reason
     form, reason = eligible_form(_spec(_lane_trip_item))
     assert form is None and "launch-invariant" in reason and "'i'" in reason
     form, reason = eligible_form(_spec(_len_builtin_item))
     assert form is None and "len()" in reason
+
+
+@pytest.mark.parametrize("fn, fragment", [
+    (_nested_break_item, "break below the loop-body top level"),
+    (_exit_var_item, "loop variable 'k' is read after a loop with break"),
+    (_unbound_rebind_item, "'last' is rebound in a loop with break but "
+                           "not bound before it"),
+    (_break_barrier_item, "barrier inside a loop with break"),
+])
+def test_break_outside_the_exit_form_is_ineligible(fn, fragment):
+    form, reason = eligible_form(_spec(fn))
+    assert form is None and fragment in reason, reason
 
 
 def test_no_vectorize_feature_opts_out():
@@ -248,7 +380,8 @@ def test_reference_form_only():
 
 @pytest.mark.parametrize("fn", [_scale_item, _select_item, _branch_item,
                                 _stencil_item, _loop_item, _min_builtin_item,
-                                _math_item])
+                                _math_item, _break_item, _break_arm_item,
+                                _nested_exit_item])
 def test_compiled_matches_interpreter_bitwise(fn):
     n = 50  # not a multiple of the work-group: exercises the guard
     rng = np.random.default_rng(3)
@@ -261,6 +394,9 @@ def test_compiled_matches_interpreter_bitwise(fn):
         _loop_item: lambda o: (o, src, n),
         _min_builtin_item: lambda o: (o, src, n),
         _math_item: lambda o: (o, src, n),
+        _break_item: lambda o: (o, src, n),
+        _break_arm_item: lambda o: (o, src, n),
+        _nested_exit_item: lambda o: (o, src, n),
     }[fn]
     ref = np.zeros(n, dtype=np.float32)
     run_nd_range(_spec(fn), _nd(64), args(ref), mode="item")
@@ -273,6 +409,65 @@ def test_compiled_matches_interpreter_bitwise(fn):
     plan = get_plan(spec, _nd(64), mode="compiled")
     assert plan.path == "compiled"
     assert plan.compiled is not None and plan.compiled.validated
+
+
+class _ReadCounter(np.ndarray):
+    """An ndarray that counts its subscript reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        type(self).reads += 1
+        return np.asarray(self)[key]
+
+
+def test_break_loop_stops_once_every_lane_exited():
+    """The batched loop of a break kernel runs only until the last lane
+    exits, not the full (here 10^6) trip count: ``stops[i]`` is read
+    once per batched iteration, so the read count is the iteration
+    count."""
+    n = 50
+    stops = np.random.default_rng(5).integers(0, 6, n)
+    spec = _spec(_early_exit_item)
+    ref = np.zeros(n, dtype=np.int64)
+    run_nd_range(spec, _nd(64), (ref, stops, n), mode="item")
+    assert np.array_equal(ref, stops)
+
+    compiled, reason = compile_batched(spec, _nd(64))
+    assert reason is None
+    out = np.zeros(n, dtype=np.int64)
+    _ReadCounter.reads = 0
+    compiled.execute((out, stops.view(_ReadCounter), n))
+    assert out.tobytes() == ref.tobytes()
+    assert _ReadCounter.reads == stops.max() + 1
+
+
+def test_mandelbrot_break_form_matches_reference_on_every_tier():
+    """Mandelbrot's escape loop in its break form: per-item interpreter,
+    compiled tier and the numpy reference agree bit for bit, at a width
+    that leaves over-provisioned lanes in the last work-group."""
+    from repro.altis.base import Workload
+    from repro.altis.mandelbrot import Mandelbrot, mandelbrot_reference
+
+    width, height = 37, 11
+    assert width % 16
+    app = Mandelbrot()
+
+    def run(mode):
+        wl = Workload(app="Mandelbrot", size=1,
+                      arrays={"out": np.zeros((height, width), np.int32)},
+                      params={"width": width, "height": height,
+                              "max_iters": 256})
+        q = Queue("rtx2080", default_mode=mode)
+        return app.run_sycl(q, wl)["out"], q
+
+    ref = mandelbrot_reference(width, height)
+    item, _ = run("item")
+    run("compiled")  # compile + shadow-validate
+    compiled, q = run("compiled")
+    assert item.tobytes() == ref.tobytes()
+    assert compiled.tobytes() == ref.tobytes()
+    assert q.counters.path_counts == {"compiled": 1}
 
 
 def test_plan_cache_reports_tiers():

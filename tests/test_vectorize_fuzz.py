@@ -2,8 +2,9 @@
 
 :mod:`tests.test_vectorize` pins hand-written kernels; this harness
 generates *random* batchable kernel bodies — guards, stencil offsets,
-conditional stores, bounded ``for range()`` loops, barrier splits, and
-``LocalAccessor`` tiles — and asserts on every draw that the compiled
+conditional stores, bounded ``for range()`` loops, loops with
+lane-divergent ``break`` arms, barrier splits, and ``LocalAccessor``
+tiles — and asserts on every draw that the compiled
 program is **bitwise identical** to the per-item interpreter.  A final
 property splices one unsupported construct into an otherwise-batchable
 body and checks the demotion path: a precise ineligibility reason, a
@@ -96,15 +97,39 @@ def _expr(draw, names, depth):
             f"else {draw(sub)})")
 
 
+def _break_loop(draw, names, k):
+    """A loop exiting lanes through one or two ``if <cond>: ...; break``
+    arms, each optionally storing to ``out`` and rebinding ``hit``."""
+    acc, hit = f"acc{k}", f"hit{k}"
+    inner = names + [acc]
+    trip = draw(st.integers(min_value=1, max_value=6))
+    lines = [f"{acc} = {draw(_CONSTS)}", f"{hit} = {draw(_CONSTS)}",
+             f"for q{k} in range({trip}):",
+             f"    {acc} = {acc} + {draw(_expr(inner, 1))} * (q{k} + 1)"]
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        lines.append(f"    if {draw(_expr(inner, 1))} > {draw(_CONSTS)}:")
+        if draw(st.booleans()):
+            lines.append(f"        out[i] = {draw(_expr(inner, 1))}")
+        if draw(st.booleans()):
+            lines.append(f"        {hit} = {draw(_expr(inner, 1))}")
+        lines.append("        break")
+        if draw(st.booleans()):
+            lines.append(f"    {acc} = {acc} * {draw(_CONSTS)}")
+    names += [acc, hit]
+    return lines
+
+
 @st.composite
-def _guard_body(draw):
+def _guard_body(draw, require_break=False):
     """Body lines (4-space indent applied later) for a guarded item
-    kernel ``kfuzz(item, out, src, n)``; returns ``(lines, names)``."""
+    kernel ``kfuzz(item, out, src, n)``; returns ``(lines, names)``.
+    ``require_break`` makes the first statement a break loop."""
     names = ["v0"]
     lines = ["v0 = src[i]"]
     for k in range(draw(st.integers(min_value=1, max_value=4))):
-        kind = draw(st.sampled_from(
-            ["assign", "stencil", "loop", "guarded_store"]))
+        kind = "break_loop" if require_break and k == 0 else draw(
+            st.sampled_from(["assign", "stencil", "loop", "break_loop",
+                             "guarded_store"]))
         if kind == "assign":
             name = f"v{len(names)}"
             lines.append(f"{name} = {draw(_expr(names, 2))}")
@@ -125,6 +150,8 @@ def _guard_body(draw):
             lines.append(
                 f"    {acc} = {acc} + {draw(_expr(names, 1))} * (q{k} + 1)")
             names.append(acc)
+        elif kind == "break_loop":
+            lines += _break_loop(draw, names, k)
         else:
             lines.append(f"if {draw(_expr(names, 1))} > {draw(_CONSTS)}:")
             lines.append(f"    out[i] = {draw(_expr(names, 1))}")
@@ -169,7 +196,7 @@ def _tile_source(draw):
 #: (body lines to splice in, expected ineligibility-reason fragment)
 _INJECTIONS = st.sampled_from([
     (["wf = 0.0", "while wf < 2.0:", "    wf = wf + 1.0"], "while loop"),
-    (["for qb in range(2):", "    break"], "break/continue"),
+    (["for qb in range(2):", "    continue"], "continue"),
     (["junk = len(src)", "v0 = v0 + junk * 0.0"], "len()"),
     (["for ql in range(i):", "    v0 = v0 + 1.0"], "launch-invariant"),
 ])
@@ -194,13 +221,7 @@ def _spec(fn, name):
 # Properties
 # ---------------------------------------------------------------------------
 
-@_SETTINGS
-@given(lines_names=_guard_body(), n=st.integers(min_value=33, max_value=64),
-       seed=st.integers(min_value=0, max_value=2**16))
-def test_fuzz_guarded_bodies_bitwise(lines_names, n, seed):
-    """Any body the grammar emits must promote and match the
-    interpreter byte for byte, including the guard's partial tail."""
-    lines, _ = lines_names
+def _check_guarded_bitwise(lines, n, seed):
     src_text = _assemble_guard(lines)
     fn = _make_kernel(src_text)
     spec = _spec(fn, "kfuzz")
@@ -223,6 +244,26 @@ def test_fuzz_guarded_bodies_bitwise(lines_names, n, seed):
         f"promoted-run output diverged:\n{src_text}"
     assert stats.path == "compiled", \
         f"shadow validation demoted a dialect body:\n{src_text}"
+
+
+@_SETTINGS
+@given(lines_names=_guard_body(), n=st.integers(min_value=33, max_value=64),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_fuzz_guarded_bodies_bitwise(lines_names, n, seed):
+    """Any body the grammar emits must promote and match the
+    interpreter byte for byte, including the guard's partial tail."""
+    _check_guarded_bitwise(lines_names[0], n, seed)
+
+
+@_SETTINGS
+@given(lines_names=_guard_body(require_break=True),
+       n=st.integers(min_value=33, max_value=64),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_fuzz_break_arms_bitwise(lines_names, n, seed):
+    """Every draw holds at least one loop with break arms: lanes exit
+    at different iterations, arm stores and rebinds apply only to the
+    exiting lanes, and the result is the interpreter's byte for byte."""
+    _check_guarded_bitwise(lines_names[0], n, seed)
 
 
 @_SETTINGS
