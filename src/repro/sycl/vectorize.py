@@ -47,7 +47,8 @@ How a kernel becomes a batched program
   top level of such a loop's body retires the lanes that took it
   (``__lanes__.retire``, scoped to the loop by ``__lanes__.loop()``):
   later stores skip them, every name written in the loop and read
-  after it updates as ``np.where(live, new, old)``
+  after it — or, inside another loop, read by the loop's next pass
+  before it is rebound — updates as ``np.where(live, new, old)``
   (``__lanes__.merge``), and the batched loop stops once no lane is
   left;
 * ``LocalAccessor`` tiles become per-group ``(groups, *tile)`` shadow
@@ -241,6 +242,29 @@ def _name_loads(nodes) -> Counter:
     return loads
 
 
+def _read_before_bound(stmts, bound: set) -> set:
+    """Names ``stmts`` (one loop iteration) may read before binding
+    them in the same iteration, so their values flow in from the
+    previous iteration or from before the loop.  Only an unconditional
+    assignment at this level binds; anything under an ``if`` may not
+    run, and an inner loop binds its target for its own body only."""
+    reads = set()
+    bound = set(bound)
+    for s in stmts:
+        if isinstance(s, ast.For):
+            reads |= set(_name_loads([s.iter])) - bound
+            targets = {n.id for n in ast.walk(s.target)
+                       if isinstance(n, ast.Name)}
+            reads |= _read_before_bound(s.body, bound | targets)
+            continue
+        reads |= set(_name_loads([s])) - bound
+        if isinstance(s, ast.Assign):
+            bound |= {n.id for t in s.targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Store)}
+    return reads
+
+
 def _is_break_arm(s) -> bool:
     """``if <cond>: ...; break`` — a loop's data-dependent exit."""
     return (isinstance(s, ast.If) and not s.orelse
@@ -250,8 +274,9 @@ def _is_break_arm(s) -> bool:
 class _ExitLoop:
     """Rewrite state of one loop with a break arm.
 
-    ``live`` — names read outside the loop, whose per-lane values must
-    freeze when a lane exits; ``bound`` — names bound before the loop
+    ``live`` — names whose per-lane values must freeze when a lane
+    exits (read outside the loop, or carried into its next pass by an
+    enclosing loop); ``bound`` — names bound before the loop
     (the only ones a merge may fall back to); ``arm`` — set while a
     break arm is rewritten, where every rebind merges.
     """
@@ -284,6 +309,8 @@ class _Rewriter:
         self.loads = _name_loads(body)
         #: enclosing loops with a break arm, innermost last
         self.exits: list[_ExitLoop] = []
+        #: how many loops enclose the statement being rewritten
+        self.depth = 0
 
     def _tmp(self, kind: str) -> str:
         name = f"__vec_{kind}{self.tmp_count}__"
@@ -385,12 +412,17 @@ class _Rewriter:
                               "which is not launch-invariant")
         rng = ast.Call(func=it.func, args=[self.expr(a) for a in it.args],
                        keywords=[])
+        self.depth += 1
         if any(_is_break_arm(b) for b in s.body):
-            return self.exit_loop(s, rng)
-        body = self.block(s.body, top=top, predicated=False, in_loop=True)
-        return [ast.For(target=s.target, iter=rng, body=body, orelse=[])]
+            out = self.exit_loop(s, rng, nested=self.depth > 1)
+        else:
+            body = self.block(s.body, top=top, predicated=False,
+                              in_loop=True)
+            out = [ast.For(target=s.target, iter=rng, body=body, orelse=[])]
+        self.depth -= 1
+        return out
 
-    def exit_loop(self, s: ast.For, rng: ast.Call) -> list:
+    def exit_loop(self, s: ast.For, rng: ast.Call, *, nested: bool) -> list:
         """A loop whose body exits lanes through ``if <cond>: ...;
         break`` arms at its top level.
 
@@ -409,8 +441,11 @@ class _Rewriter:
         Exited lanes keep computing garbage for names nobody reads
         again; a name read after the loop is rebound as
         ``__lanes__.merge(new, old)`` so it freezes at the lane's exit
-        value.  That needs a value before the loop, and loop variables
-        (whose exit value differs per lane) must not be read after it.
+        value.  Inside another loop (``nested``) so is every name the
+        body may read before binding it: the next pass of the enclosing
+        loop starts with every lane live again and reads that value.  A
+        merge needs a value before the loop, and loop variables (whose
+        exit value differs per lane) must not be read after it.
         """
         for node in ast.walk(s):
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
@@ -421,6 +456,8 @@ class _Rewriter:
         inside = _name_loads([s])
         live = {name for name, n in self.loads.items()
                 if n > inside.get(name, 0)}
+        if nested:
+            live |= _read_before_bound(s.body, {s.target.id})
         for node in ast.walk(s):
             if (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
                     and node.target.id in live):

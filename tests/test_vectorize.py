@@ -200,6 +200,36 @@ def _nested_exit_item(item, out, src, n):
     out[i] = total
 
 
+def _carried_exit_item(item, out, src, n):
+    # a name carried across the enclosing loop but read only inside the
+    # break loop: exited lanes must keep it for the next outer pass
+    i = item.get_global_linear_id()
+    if i >= n:
+        return
+    x = 0.0
+    for r in range(2):
+        for a in range(4):
+            x = x + src[i]
+            out[i] = x
+            if x > 1.0:
+                break
+
+
+def _carried_unbound_item(item, out, src, n):
+    # `t` flows from one pass of the break loop into the next one's
+    # first iteration, but has no value before it: nothing to keep
+    i = item.get_global_linear_id()
+    if i >= n:
+        return
+    for r in range(2):
+        for a in range(4):
+            if r > 0 and a == 0:
+                out[i] = t
+            t = src[i] * a
+            if t > 1.0:
+                break
+
+
 def _early_exit_item(item, out, stops, n):
     i = item.get_global_linear_id()
     if i >= n:
@@ -328,7 +358,8 @@ def _nd(n=64, wg=16):
 def test_eligible_forms():
     for fn in (_scale_item, _select_item, _branch_item, _stencil_item,
                _loop_item, _min_builtin_item, _math_item, _break_item,
-               _break_arm_item, _nested_exit_item, _early_exit_item):
+               _break_arm_item, _nested_exit_item, _carried_exit_item,
+               _early_exit_item):
         assert eligible_form(_spec(fn)) == ("item", None)
     form, reason = eligible_form(
         KernelSpec(name="g", kind=KernelKind.ND_RANGE, group_fn=_group_sum))
@@ -351,6 +382,8 @@ def test_ineligible_reasons_are_precise():
     (_exit_var_item, "loop variable 'k' is read after a loop with break"),
     (_unbound_rebind_item, "'last' is rebound in a loop with break but "
                            "not bound before it"),
+    (_carried_unbound_item, "'t' is rebound in a loop with break but "
+                            "not bound before it"),
     (_break_barrier_item, "barrier inside a loop with break"),
 ])
 def test_break_outside_the_exit_form_is_ineligible(fn, fragment):
@@ -381,7 +414,7 @@ def test_reference_form_only():
 @pytest.mark.parametrize("fn", [_scale_item, _select_item, _branch_item,
                                 _stencil_item, _loop_item, _min_builtin_item,
                                 _math_item, _break_item, _break_arm_item,
-                                _nested_exit_item])
+                                _nested_exit_item, _carried_exit_item])
 def test_compiled_matches_interpreter_bitwise(fn):
     n = 50  # not a multiple of the work-group: exercises the guard
     rng = np.random.default_rng(3)
@@ -397,6 +430,7 @@ def test_compiled_matches_interpreter_bitwise(fn):
         _break_item: lambda o: (o, src, n),
         _break_arm_item: lambda o: (o, src, n),
         _nested_exit_item: lambda o: (o, src, n),
+        _carried_exit_item: lambda o: (o, src, n),
     }[fn]
     ref = np.zeros(n, dtype=np.float32)
     run_nd_range(_spec(fn), _nd(64), args(ref), mode="item")

@@ -3,9 +3,10 @@
 :mod:`tests.test_vectorize` pins hand-written kernels; this harness
 generates *random* batchable kernel bodies — guards, stencil offsets,
 conditional stores, bounded ``for range()`` loops, loops with
-lane-divergent ``break`` arms, barrier splits, and ``LocalAccessor``
-tiles — and asserts on every draw that the compiled
-program is **bitwise identical** to the per-item interpreter.  A final
+lane-divergent ``break`` arms (also nested in other loops), barrier
+splits, and ``LocalAccessor`` tiles — and asserts on every draw that
+the compiled program is **bitwise identical** to the per-item
+interpreter.  A final
 property splices one unsupported construct into an otherwise-batchable
 body and checks the demotion path: a precise ineligibility reason, a
 permanent fall back to the interpreter tier (surfaced through
@@ -97,39 +98,62 @@ def _expr(draw, names, depth):
             f"else {draw(sub)})")
 
 
-def _break_loop(draw, names, k):
+def _break_loop(draw, names, k, nested):
     """A loop exiting lanes through one or two ``if <cond>: ...; break``
-    arms, each optionally storing to ``out`` and rebinding ``hit``."""
+    arms, each optionally storing to ``out`` and rebinding ``hit``.
+    ``nested`` puts it inside an outer loop (which may have a break arm
+    of its own): then ``acc``/``hit`` carry from one pass of it into the
+    next, every iteration stores ``acc``, and the two are mostly read
+    nowhere after the loops."""
     acc, hit = f"acc{k}", f"hit{k}"
     inner = names + [acc]
+    pad = "    " if nested else ""
     trip = draw(st.integers(min_value=1, max_value=6))
-    lines = [f"{acc} = {draw(_CONSTS)}", f"{hit} = {draw(_CONSTS)}",
-             f"for q{k} in range({trip}):",
-             f"    {acc} = {acc} + {draw(_expr(inner, 1))} * (q{k} + 1)"]
-    for _ in range(draw(st.integers(min_value=1, max_value=2))):
-        lines.append(f"    if {draw(_expr(inner, 1))} > {draw(_CONSTS)}:")
+    if nested:
+        # acc grows linearly (an acc-squaring update over up to 18
+        # passes would overflow to inf/NaN) at a per-lane rate, and the
+        # first arm tests it, so lanes exit at different iterations
+        step = f"(v0 + {draw(_expr(names, 1))})"
+    else:
+        step = draw(_expr(inner, 1))
+    lines = [f"{acc} = {draw(_CONSTS)}", f"{hit} = {draw(_CONSTS)}"]
+    if nested:
+        outer = draw(st.integers(min_value=2, max_value=3))
+        lines.append(f"for p{k} in range({outer}):")
+    lines += [f"{pad}for q{k} in range({trip}):",
+              f"{pad}    {acc} = {acc} + {step} * (q{k} + 1)"]
+    if nested:
+        lines.append(f"{pad}    out[i] = out[i] + {acc}")
+    for arm in range(draw(st.integers(min_value=1, max_value=2))):
+        cond = acc if nested and arm == 0 else draw(_expr(inner, 1))
+        lines.append(f"{pad}    if {cond} > {draw(_CONSTS)}:")
         if draw(st.booleans()):
-            lines.append(f"        out[i] = {draw(_expr(inner, 1))}")
+            lines.append(f"{pad}        out[i] = {draw(_expr(inner, 1))}")
         if draw(st.booleans()):
-            lines.append(f"        {hit} = {draw(_expr(inner, 1))}")
+            lines.append(f"{pad}        {hit} = {draw(_expr(inner, 1))}")
+        lines.append(f"{pad}        break")
+        if draw(st.booleans()):
+            lines.append(f"{pad}    {acc} = {acc} * {draw(_CONSTS)}")
+    if nested and draw(st.booleans()):
+        lines.append(
+            f"    if {draw(_expr(inner + [hit], 1))} > {draw(_CONSTS)}:")
         lines.append("        break")
-        if draw(st.booleans()):
-            lines.append(f"    {acc} = {acc} * {draw(_CONSTS)}")
-    names += [acc, hit]
+    if not nested or draw(st.integers(min_value=0, max_value=3)) == 0:
+        names += [acc, hit]
     return lines
 
 
 @st.composite
-def _guard_body(draw, require_break=False):
+def _guard_body(draw, first=None):
     """Body lines (4-space indent applied later) for a guarded item
     kernel ``kfuzz(item, out, src, n)``; returns ``(lines, names)``.
-    ``require_break`` makes the first statement a break loop."""
+    ``first`` forces the kind of the first statement."""
     names = ["v0"]
     lines = ["v0 = src[i]"]
     for k in range(draw(st.integers(min_value=1, max_value=4))):
-        kind = "break_loop" if require_break and k == 0 else draw(
+        kind = first if first and k == 0 else draw(
             st.sampled_from(["assign", "stencil", "loop", "break_loop",
-                             "guarded_store"]))
+                             "nested_break_loop", "guarded_store"]))
         if kind == "assign":
             name = f"v{len(names)}"
             lines.append(f"{name} = {draw(_expr(names, 2))}")
@@ -150,8 +174,9 @@ def _guard_body(draw, require_break=False):
             lines.append(
                 f"    {acc} = {acc} + {draw(_expr(names, 1))} * (q{k} + 1)")
             names.append(acc)
-        elif kind == "break_loop":
-            lines += _break_loop(draw, names, k)
+        elif kind in ("break_loop", "nested_break_loop"):
+            lines += _break_loop(draw, names, k,
+                                 nested=kind == "nested_break_loop")
         else:
             lines.append(f"if {draw(_expr(names, 1))} > {draw(_CONSTS)}:")
             lines.append(f"    out[i] = {draw(_expr(names, 1))}")
@@ -256,13 +281,24 @@ def test_fuzz_guarded_bodies_bitwise(lines_names, n, seed):
 
 
 @_SETTINGS
-@given(lines_names=_guard_body(require_break=True),
+@given(lines_names=_guard_body(first="break_loop"),
        n=st.integers(min_value=33, max_value=64),
        seed=st.integers(min_value=0, max_value=2**16))
 def test_fuzz_break_arms_bitwise(lines_names, n, seed):
     """Every draw holds at least one loop with break arms: lanes exit
     at different iterations, arm stores and rebinds apply only to the
     exiting lanes, and the result is the interpreter's byte for byte."""
+    _check_guarded_bitwise(lines_names[0], n, seed)
+
+
+@settings(_SETTINGS, max_examples=150)  # a miss needs a rare draw
+@given(lines_names=_guard_body(first="nested_break_loop"),
+       n=st.integers(min_value=33, max_value=64),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_fuzz_nested_break_arms_bitwise(lines_names, n, seed):
+    """Every draw holds a loop with break arms inside another loop:
+    lanes that exited one pass are live again in the next and must find
+    the values they left with."""
     _check_guarded_bitwise(lines_names[0], n, seed)
 
 
