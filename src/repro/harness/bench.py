@@ -10,15 +10,16 @@ trajectory of the executor is tracked across commits:
 
 * **NW blocked wavefront** — the canonical barrier-heavy repeated-launch
   workload (``2*nb - 1`` launches per alignment).  Measured three ways:
-  the legacy un-planned path, the warm planned path, and an in-benchmark
-  *floor* (raw generator drive of the same wavefront with pooled
-  work-groups — the irreducible kernel-body cost).  The headline number
-  is the **per-launch dispatch overhead ratio**: ``(unplanned - floor)``
-  vs ``(planned - floor)``, per launch.  Wall-clock speedup is recorded
-  honestly alongside (the kernel body dominates wall time, so wall
-  speedup is modest by construction).
+  cold plans (a capacity-0 plan cache, so every launch compiles its
+  plan), warm cached plans, and an in-benchmark *floor* (raw generator
+  drive of the same wavefront with pooled work-groups — the irreducible
+  kernel-body cost).  The headline numbers are the absolute **warm
+  dispatch cost per launch**, ``(warm - floor) / launches`` in µs, and
+  the **dispatch overhead ratio** ``(cold - floor) / (warm - floor)``.
+  Wall-clock speedup is recorded honestly alongside (the kernel body
+  dominates wall time, so wall speedup is modest by construction).
 * **SRAD group path** — repeated identically-shaped 2-D launches of the
-  two diffusion kernels, planned vs un-planned, asserting byte-identical
+  two diffusion kernels, cold vs warm plans, asserting byte-identical
   images.
 * **Executor tiers** — the same SRAD loop through the per-item
   interpreter, the group interpreter, and the compiled (batched-numpy)
@@ -29,7 +30,7 @@ trajectory of the executor is tracked across commits:
   fresh :class:`~repro.harness.resultdb.FigureCache`.
 
 Every benchmark verifies its outputs (NW against :func:`nw_reference`;
-SRAD and the figure sweep planned-vs-unplanned byte equality) and raises
+SRAD cold-vs-warm and the figure sweep cold-vs-warm byte equality) and raises
 :class:`~repro.common.errors.ReproError` on mismatch — a benchmark that
 got fast by being wrong must fail loudly.
 
@@ -40,7 +41,7 @@ Command line::
     python -m repro bench --out BENCH.json
 
 Records append under the ``"trajectory"`` key; each carries
-``"schema": "repro-bench/1"`` so downstream tooling can detect format
+``"schema": "repro-bench/2"`` so downstream tooling can detect format
 drift (the CI bench job diffs the schema against the previous record).
 """
 
@@ -72,7 +73,7 @@ __all__ = [
 
 #: Schema tag carried by every trajectory record.  Bump on any change to
 #: the record's key structure so the CI schema diff flags it.
-BENCH_SCHEMA = "repro-bench/1"
+BENCH_SCHEMA = "repro-bench/2"
 
 
 def _best(fn, best_of: int) -> tuple[float, object]:
@@ -86,13 +87,25 @@ def _best(fn, best_of: int) -> tuple[float, object]:
     return best_s, payload
 
 
+def _cold_plans(fn):
+    """Call ``fn`` with the plan cache at capacity 0: every launch
+    compiles (and throws away) its plan — the first-launch path."""
+    from ..sycl.plan import set_plan_cache_limit
+
+    previous = set_plan_cache_limit(0)
+    try:
+        return fn()
+    finally:
+        set_plan_cache_limit(previous)
+
+
 # ---------------------------------------------------------------------------
-# NW blocked wavefront: planned vs un-planned vs raw-generator floor
+# NW blocked wavefront: cold plans vs warm plans vs raw-generator floor
 # ---------------------------------------------------------------------------
 
 def bench_nw_wavefront(*, n: int = 32, block: int = 4, seed: int = 7,
                        trials: int = 3, best_of: int = 7) -> dict:
-    """Steady-state NW wavefront: per-launch dispatch overhead ratio.
+    """Steady-state NW wavefront: per-launch dispatch cost of warm plans.
 
     Uses a custom block size (``nw_reference`` is block-independent, so
     the scores still verify) to get a launch-dominated shape: small
@@ -126,14 +139,14 @@ def bench_nw_wavefront(*, n: int = 32, block: int = 4, seed: int = 7,
     base[0, :] = -penalty * np.arange(n + 1)
     base[:, 0] = -penalty * np.arange(n + 1)
 
-    def wavefront(use_plan: bool):
+    def wavefront():
         score = base.copy()
         t0 = time.perf_counter()
         for d in range(launches):
             blocks = (d + 1) if d < nb else (2 * nb - 1 - d)
             run_nd_range(kern, NdRange(Range(blocks * block), Range(block)),
                          (score, sim, tile, penalty, d, nb, n, block),
-                         force_item=True, use_plan=use_plan)
+                         force_item=True)
         return time.perf_counter() - t0, score
 
     # The floor: drive the same group generators directly with pooled
@@ -157,28 +170,30 @@ def bench_nw_wavefront(*, n: int = 32, block: int = 4, seed: int = 7,
         return time.perf_counter() - t0, score
 
     clear_plan_caches()
-    wavefront(True)  # compile the per-diagonal plans once
-    unplanned_s, warm_s, floor_s = [], [], []
-    ratios, walls = [], []
+    wavefront()  # compile the per-diagonal plans once
+    cold_s, warm_s, floor_s = [], [], []
+    ratios, walls, dispatch_us = [], [], []
     for _ in range(trials):
-        unp, s_unp = _best(lambda: wavefront(False), best_of)
-        warm, s_warm = _best(lambda: wavefront(True), best_of)
+        cold, s_cold = _cold_plans(lambda: _best(wavefront, best_of))
+        warm, s_warm = _best(wavefront, best_of)
         floor, s_floor = _best(floor_run, best_of)
-        for name, s in (("unplanned", s_unp), ("planned", s_warm),
+        for name, s in (("cold-plan", s_cold), ("warm-plan", s_warm),
                         ("floor", s_floor)):
             if s.tobytes() != expected.tobytes():
                 raise ReproError(
                     f"NW bench: {name} wavefront diverged from nw_reference")
-        ovh_un = (unp - floor) / launches * 1e6
+        ovh_cold = (cold - floor) / launches * 1e6
+        ovh_warm = (warm - floor) / launches * 1e6
         # clamp: machine noise can push the warm residual to ~zero or
         # negative; the ratio is then reported against a conservative
         # denominator rather than exploding
-        ovh_pl = max((warm - floor) / launches * 1e6, ovh_un / 100, 1e-3)
-        unplanned_s.append(round(unp, 6))
+        ovh_pl = max(ovh_warm, ovh_cold / 100, 1e-3)
+        cold_s.append(round(cold, 6))
         warm_s.append(round(warm, 6))
         floor_s.append(round(floor, 6))
-        ratios.append(round(ovh_un / ovh_pl, 2))
-        walls.append(round(unp / warm, 3))
+        ratios.append(round(ovh_cold / ovh_pl, 2))
+        walls.append(round(cold / warm, 3))
+        dispatch_us.append(round(ovh_warm, 3))
     info = plan_cache_info()
     return {
         "workload": (f"NW blocked wavefront, n={n}, block={block}, "
@@ -188,9 +203,11 @@ def bench_nw_wavefront(*, n: int = 32, block: int = 4, seed: int = 7,
                      for d in range(launches)),
         "trials": trials,
         "best_of": best_of,
-        "unplanned_s": unplanned_s,
+        "cold_plan_s": cold_s,
         "warm_planned_s": warm_s,
         "floor_s": floor_s,
+        "dispatch_us_per_launch_trials": dispatch_us,
+        "dispatch_us_per_launch": float(np.median(dispatch_us)),
         "overhead_ratio_trials": ratios,
         "overhead_ratio": max(ratios),
         "wall_speedup_trials": walls,
@@ -202,7 +219,7 @@ def bench_nw_wavefront(*, n: int = 32, block: int = 4, seed: int = 7,
 
 
 # ---------------------------------------------------------------------------
-# SRAD group path: planned vs un-planned, byte-identical images
+# SRAD group path: cold vs warm plans, byte-identical images
 # ---------------------------------------------------------------------------
 
 def bench_srad_group(*, scale: float = 0.016, iterations: int = 8,
@@ -211,8 +228,8 @@ def bench_srad_group(*, scale: float = 0.016, iterations: int = 8,
 
     Every iteration launches ``srad1`` then ``srad2`` on the same
     nd_range — after the first iteration the plan cache serves every
-    launch warm.  Asserts the planned and un-planned images are
-    byte-identical.
+    launch warm.  Asserts the warm-plan image is byte-identical to the
+    cold-plan one (capacity-0 cache, a plan compiled per launch).
     """
     from ..altis.srad import Srad
     from ..sycl import NdRange, Range
@@ -231,7 +248,7 @@ def bench_srad_group(*, scale: float = 0.016, iterations: int = 8,
     nd_shape = ((gr, gc), (wg, wg))
     base = wl["img"].astype(np.float32)
 
-    def diffuse(use_plan: bool):
+    def diffuse():
         img = base.copy()
         c_arr = np.zeros_like(img)
         dN = np.zeros_like(img)
@@ -245,27 +262,25 @@ def bench_srad_group(*, scale: float = 0.016, iterations: int = 8,
             q0sqr = var / (mean * mean)
             nd = NdRange(Range(*nd_shape[0]), Range(*nd_shape[1]))
             run_nd_range(k1, nd, (img, c_arr, dN, dS, dW, dE, q0sqr,
-                                  rows, cols), mode="group",
-                         use_plan=use_plan)
+                                  rows, cols), mode="group")
             run_nd_range(k2, nd, (img, c_arr, dN, dS, dW, dE, lam,
-                                  rows, cols), mode="group",
-                         use_plan=use_plan)
+                                  rows, cols), mode="group")
         return time.perf_counter() - t0, img
 
     clear_plan_caches()
-    diffuse(True)  # compile the two plans
-    unp_s, img_unp = _best(lambda: diffuse(False), best_of)
-    warm_s, img_warm = _best(lambda: diffuse(True), best_of)
-    if img_warm.tobytes() != img_unp.tobytes():
-        raise ReproError("SRAD bench: planned image diverged from un-planned")
+    diffuse()  # compile the two plans
+    cold_s, img_cold = _cold_plans(lambda: _best(diffuse, best_of))
+    warm_s, img_warm = _best(diffuse, best_of)
+    if img_warm.tobytes() != img_cold.tobytes():
+        raise ReproError("SRAD bench: warm-plan image diverged from cold")
     return {
         "workload": (f"SRAD group path, {rows}x{cols}, "
                      f"{iterations} iterations (2 launches each)"),
         "launches": 2 * iterations,
         "best_of": best_of,
-        "unplanned_s": round(unp_s, 6),
+        "cold_plan_s": round(cold_s, 6),
         "warm_planned_s": round(warm_s, 6),
-        "wall_speedup": round(unp_s / warm_s, 3),
+        "wall_speedup": round(cold_s / warm_s, 3),
         "byte_identical": True,
     }
 
@@ -520,7 +535,10 @@ def render_bench(record: dict) -> str:
         "",
         f"NW wavefront   : {nw['launches']} launches/alignment, "
         f"best of {nw['best_of']} x {nw['trials']} trials",
-        f"  dispatch overhead ratio (unplanned/planned): "
+        f"  warm dispatch per launch (above floor)     : "
+        f"{nw['dispatch_us_per_launch']:.1f} us  "
+        f"{nw['dispatch_us_per_launch_trials']}",
+        f"  dispatch overhead ratio (cold/warm plans)  : "
         f"{nw['overhead_ratio']:.2f}x  {nw['overhead_ratio_trials']}",
         f"  wall speedup (warm plans)                  : "
         f"{nw['wall_speedup']:.3f}x  {nw['wall_speedup_trials']}",

@@ -40,7 +40,6 @@ from .plan import (
     get_plan,
     plan_cache_info,
     plan_pool_stats,
-    plans_disabled,
     set_plan_cache_limit,
 )
 from .pipes import DataflowGraph, Pipe, PipeBlocked
@@ -105,7 +104,6 @@ __all__ = [
     "plan_pool_stats",
     "clear_plan_caches",
     "set_plan_cache_limit",
-    "plans_disabled",
     # compiled (batched-numpy) tier
     "CompiledKernel",
     "VectorizeFallback",

@@ -23,15 +23,16 @@ Two performance layers keep the decomposed paths cheap:
   memoized per ``(global_range, local_range)`` with ``lru_cache``
   (immutable tuples only, so concurrent launches from a harness worker
   pool can share them safely);
-* all barrier-phase scheduling — work-group and grid scope — runs
-  through one deque-based phase engine that never rebuilds a live list.
+* all barrier-phase scheduling — work-group and grid scope, cold and
+  warm, traced or not — runs through one phase engine that checks
+  barrier tokens and divergence on every phase.
 
 A third layer, :mod:`repro.sycl.plan`, compiles everything
 launch-invariant (validation, path selection, generator inspection,
-lattice references) into a cached :class:`~repro.sycl.plan.LaunchPlan`
-on first launch of a shape; repeated launches — the steady state Altis
-measures — re-inspect nothing.  ``use_plan=False`` pins the legacy
-per-launch derivation.
+lattice references) into a :class:`~repro.sycl.plan.LaunchPlan` on
+first launch of a shape; repeated launches — the steady state Altis
+measures — re-inspect nothing.  Every launch runs through a plan: the
+entry points below only poll the fault hook and look the plan up.
 
 The executor validates work-group limits against kernel attributes,
 reproducing the runtime errors the paper hit when Altis' default
@@ -42,18 +43,16 @@ from __future__ import annotations
 
 import inspect
 import itertools
-from collections import deque
 from contextlib import nullcontext as _null_context
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..common.errors import KernelLaunchError
 from ..resilience.faults import poll as _fault_poll
 from ..trace.metrics import registry as _metrics
 from ..trace.spans import current_tracer
-from .buffer import LocalAccessor
 from .kernel import KernelSpec
-from .ndrange import BarrierToken, Group, NdItem, NdRange
+from .ndrange import BarrierToken, NdRange
 
 __all__ = [
     "validate_launch",
@@ -179,73 +178,109 @@ def clear_execution_caches() -> None:
 # The shared barrier-phase engine
 # ---------------------------------------------------------------------------
 
-def _advance_barrier_phases(kernel: KernelSpec, gens: Iterable,
+#: ``next(gen, _DONE)`` marks a finished generator without raising
+#: ``StopIteration``
+_DONE = object()
+
+
+def _bad_token(kernel: KernelSpec, token, grid: bool) -> KernelLaunchError:
+    kind = "grid-sync" if grid else "barrier"
+    return KernelLaunchError(
+        f"kernel {kernel.name!r} yielded {token!r}; {kind} "
+        "kernels must `yield item.barrier(...)`"
+    )
+
+
+def _divergent(kernel: KernelSpec, reached: int, size: int,
+               grid: bool) -> KernelLaunchError:
+    scope = "grid barrier" if grid else "barrier"
+    return KernelLaunchError(
+        f"kernel {kernel.name!r}: divergent {scope} - only "
+        f"{reached} of {size} work-items reached it"
+    )
+
+
+def _advance_each(kernel: KernelSpec, gens: Sequence, grid: bool) -> int:
+    """Advance every generator once, in order; how many reached a
+    barrier (each yield must be a barrier token)."""
+    reached = 0
+    for gen in gens:
+        token = next(gen, _DONE)
+        if token is _DONE:
+            continue
+        if not isinstance(token, BarrierToken):
+            raise _bad_token(kernel, token, grid)
+        reached += 1
+    return reached
+
+
+def _phase_span(tracer, kernel: KernelSpec, start: float, phase: int,
+                size: int, reached: bool, grid: bool) -> float:
+    """Record one ``barrier-phase`` span; returns the next phase's start."""
+    now = tracer.now_us()
+    tracer.complete(
+        f"{kernel.name}:barrier-phase", "barrier-phase", start, now - start,
+        phase=phase, participants=size, reached_barrier=reached, grid=grid,
+    )
+    return tracer.now_us()
+
+
+def _advance_barrier_phases(kernel: KernelSpec, gens: Sequence,
                             stats: ExecutionStats, *, grid: bool = False,
                             tracer=None) -> None:
     """Run generator kernels phase by phase until all complete.
 
-    One scheduler serves both scopes: work-group barriers
-    (:func:`run_nd_range`) and grid-wide barriers
-    (:func:`run_grid_synchronized`) differ only in which generators are
-    scheduled together.  The deque rotates each phase's survivors to the
-    back, so no per-phase live-list rebuild ever happens.
+    The one barrier engine: every generator launch — work-group
+    barriers (:func:`run_nd_range`, one call per group) and grid-wide
+    barriers (:func:`run_grid_synchronized`, one call per launch),
+    cold or warm, traced or not — advances through it.  Each phase
+    advances every generator once, in order.  The first generator paces
+    the phases: a ``for`` loop resumes it without a call per phase,
+    which keeps the one-generator group form nearly as cheap as
+    draining it.
 
     With a ``tracer`` each phase is recorded as a ``barrier-phase`` span
     under the caller's open kernel-form span; ``tracer=None`` adds one
     branch per phase and nothing else.
 
-    Divergence check (single implementation for both scopes): within one
-    phase either *every* live participant reaches the barrier or every
-    one runs to completion; any mix is the divergent-barrier error the
-    SIMT contract forbids.
+    Checked on every phase: each yield must be a barrier token, and
+    either *every* participant reaches the barrier or every one runs to
+    completion; any mix is the divergent-barrier error the SIMT
+    contract forbids.
     """
-    live = deque(gens)
-    phase_index = 0
-    while live:
-        phase_start = tracer.now_us() if tracer is not None else 0.0
-        phase_size = len(live)
-        reached = 0
-        for _ in range(phase_size):
-            gen = live.popleft()
-            try:
-                token = next(gen)
-            except StopIteration:
-                continue
-            if not isinstance(token, BarrierToken):
-                kind = "grid-sync" if grid else "barrier"
-                raise KernelLaunchError(
-                    f"kernel {kernel.name!r} yielded {token!r}; {kind} "
-                    "kernels must `yield item.barrier(...)`"
-                )
-            reached += 1
-            live.append(gen)
-        stats.gen_advances += phase_size
-        if reached and reached != phase_size:
-            scope = "grid barrier" if grid else "barrier"
-            raise KernelLaunchError(
-                f"kernel {kernel.name!r}: divergent {scope} - only "
-                f"{reached} of {phase_size} work-items reached it"
-            )
-        if reached:
-            stats.barrier_phases += 1
+    size = len(gens)
+    if not size:
+        return
+    lead, rest = gens[0], gens[1:]
+    phase = 0
+    phase_start = tracer.now_us() if tracer is not None else 0.0
+    for token in lead:
+        if not isinstance(token, BarrierToken):
+            raise _bad_token(kernel, token, grid)
+        reached = 1 + _advance_each(kernel, rest, grid) if rest else 1
+        if reached != size:
+            raise _divergent(kernel, reached, size, grid)
         if tracer is not None:
-            tracer.complete(
-                f"{kernel.name}:barrier-phase", "barrier-phase",
-                phase_start, tracer.now_us() - phase_start,
-                phase=phase_index, participants=phase_size,
-                reached_barrier=bool(reached), grid=grid,
-            )
-            phase_index += 1
+            phase_start = _phase_span(tracer, kernel, phase_start, phase,
+                                      size, True, grid)
+        phase += 1
+    # the first generator finished: every other one must finish in the
+    # same phase
+    reached = _advance_each(kernel, rest, grid) if rest else 0
+    if reached:
+        raise _divergent(kernel, reached, size, grid)
+    if tracer is not None:
+        _phase_span(tracer, kernel, phase_start, phase, size, False, grid)
+    stats.gen_advances += size * (phase + 1)
+    stats.barrier_phases += phase
 
 
 # ---------------------------------------------------------------------------
 # Launch entry points
 # ---------------------------------------------------------------------------
 
-_MODES = ("vector", "group", "item", "compiled")
-
-# populated on the first planned launch (the plan module imports this
-# one, so the executor reaches back lazily)
+# populated on the first launch (the plan module imports this one, so
+# the executor reaches back lazily)
 _get_plan = None
 
 
@@ -260,75 +295,8 @@ def _lookup_plan(kernel, nd_range, force_item, device_max_wg, mode,
                      device_max_wg=device_max_wg, mode=mode, grid=grid)
 
 
-def _select_path(kernel: KernelSpec, force_item: bool, mode: str | None,
-                 allow_compiled: bool = False) -> str:
-    if mode is not None and mode != "auto":
-        if mode == "compiled":
-            return _select_compiled(kernel, allow_compiled)
-        if mode not in _MODES:
-            raise KernelLaunchError(
-                f"unknown execution mode {mode!r}; expected one of {_MODES}")
-        if getattr(kernel, f"{mode}_fn") is None:
-            raise KernelLaunchError(
-                f"kernel {kernel.name!r} has no {mode}_fn "
-                f"(mode={mode!r} requested)")
-        return mode
-    if kernel.vector_fn is not None and not force_item:
-        return "vector"
-    if allow_compiled and not force_item:
-        # Auto mode takes the compiled tier only when its batched form is
-        # exactly the interpreter form auto would otherwise run, so the
-        # shadow validation compares against auto's own reference path.
-        from .vectorize import eligible_form, vectorize_enabled
-
-        if vectorize_enabled():
-            form, _reason = eligible_form(kernel)
-            interp = "group" if kernel.group_fn is not None else "item"
-            if form is not None and form == interp:
-                return "compiled"
-    # force_item pins the faithful decomposed execution (no whole-range
-    # shortcut); within it the executor prefers the group-vectorized form.
-    if kernel.group_fn is not None:
-        return "group"
-    if kernel.item_fn is not None:
-        return "item"
-    raise KernelLaunchError(
-        f"kernel {kernel.name!r} has no item_fn (force_item requested)"
-    )
-
-
-def _select_compiled(kernel: KernelSpec, allow_compiled: bool) -> str:
-    """Resolve ``mode="compiled"``: the batched tier when eligible, else
-    a recorded fallback to the kernel's reference interpreter form."""
-    if kernel.item_fn is not None:
-        fallback = "item"
-    elif kernel.group_fn is not None:
-        fallback = "group"
-    else:
-        raise KernelLaunchError(
-            f"kernel {kernel.name!r} has no item_fn or group_fn "
-            "(mode='compiled' requested)")
-    from .vectorize import eligible_form, note_fallback, vectorize_enabled
-
-    if not allow_compiled:
-        # the compiled tier lives in the plan layer; plan-less launches
-        # (use_plan=False) take the interpreter reference form
-        note_fallback(kernel.name, "plan layer bypassed (use_plan=False)",
-                      "static")
-        return fallback
-    if not vectorize_enabled():
-        # deliberate vectorize_disabled() block: not a coverage miss
-        return fallback
-    form, reason = eligible_form(kernel)
-    if form is None:
-        note_fallback(kernel.name, reason, "static")
-        return fallback
-    return "compiled"
-
-
 def run_grid_synchronized(kernel: KernelSpec, nd_range: NdRange,
-                          args: tuple, *,
-                          use_plan: bool = True) -> ExecutionStats:
+                          args: tuple) -> ExecutionStats:
     """Execute an ND-range kernel with **grid-level synchronization**.
 
     Altis exercises CUDA cooperative groups' grid sync (paper §2.2);
@@ -341,62 +309,17 @@ def run_grid_synchronized(kernel: KernelSpec, nd_range: NdRange,
     barrier k before any continues).
 
     Grid barriers interlock every generator, so each launch runs the
-    strict phase engine; the cached grid plan (``use_plan``) amortizes
+    phase engine over the whole grid; the cached grid plan amortizes
     path selection, generator inspection, and group construction only.
     """
-    if use_plan:
-        plan = _lookup_plan(kernel, nd_range, False, None, None, grid=True)
-        if plan is not None:
-            return plan.execute(args)
-    use_group = (kernel.group_fn is not None
-                 and inspect.isgeneratorfunction(kernel.group_fn))
-    if not use_group:
-        if kernel.item_fn is None:
-            raise KernelLaunchError(
-                f"kernel {kernel.name!r} needs an item_fn for grid sync")
-        if not inspect.isgeneratorfunction(kernel.item_fn):
-            raise KernelLaunchError(
-                f"kernel {kernel.name!r} never synchronizes; use run_nd_range")
-    stats = ExecutionStats()
-    tracer = current_tracer()
-    local_accessors = [a for a in args if isinstance(a, LocalAccessor)]
-    for acc in local_accessors:
-        acc._begin_group()  # one grid-wide instance
-    group_size = nd_range.group_size()
-    gens = []
-    if use_group:
-        stats.path = "group"
-        for gid in _point_grid(nd_range.group_range().dims):
-            stats.groups += 1
-            stats.items += group_size
-            gens.append(kernel.group_fn(Group(gid, nd_range), *args))
-    else:
-        stats.path = "item"
-        for gid, coords in _nd_lattice(nd_range.global_range.dims,
-                                       nd_range.local_range.dims):
-            group = Group(gid, nd_range)
-            stats.groups += 1
-            stats.items += group_size
-            for glob, lid in coords:
-                gens.append(kernel.item_fn(NdItem(glob, lid, group), *args))
-    if tracer is None:
-        _advance_barrier_phases(kernel, gens, stats, grid=True)
-    else:
-        with tracer.span(f"{kernel.name}:{stats.path}", "kernel-form",
-                         kernel=kernel.name, path=stats.path, grid=True):
-            _advance_barrier_phases(kernel, gens, stats, grid=True,
-                                    tracer=tracer)
-        _note_execution_metrics(stats)
-    for acc in local_accessors:
-        acc._end_group()
-    return stats
+    plan = _lookup_plan(kernel, nd_range, False, None, None, grid=True)
+    return plan.execute(args)
 
 
 def run_nd_range(kernel: KernelSpec, nd_range: NdRange, args: tuple,
                  *, force_item: bool = False,
                  device_max_wg: int | None = None,
-                 mode: str | None = None,
-                 use_plan: bool = True) -> ExecutionStats:
+                 mode: str | None = None) -> ExecutionStats:
     """Execute an ND-range kernel functionally.
 
     ``mode`` pins an execution path explicitly (``"vector"``,
@@ -407,11 +330,10 @@ def run_nd_range(kernel: KernelSpec, nd_range: NdRange, args: tuple,
     unless ``force_item``, then the compiled tier when it matches the
     reference form, then the group-vectorized form, then per-item.
 
-    By default the launch goes through the plan cache
-    (:mod:`repro.sycl.plan`): the first launch of a shape compiles a
+    The launch goes through the plan cache (:mod:`repro.sycl.plan`):
+    the first launch of a shape compiles a
     :class:`~repro.sycl.plan.LaunchPlan`, repeated launches execute
-    warm with zero re-inspection.  ``use_plan=False`` forces the legacy
-    per-launch derivation below.
+    warm with zero re-inspection.
 
     Each launch is a fault-injection / deadline checkpoint
     (:func:`repro.resilience.faults.poll` at site ``launch``) — polled
@@ -419,79 +341,8 @@ def run_nd_range(kernel: KernelSpec, nd_range: NdRange, args: tuple,
     even on a warm cache; free when no plan or deadline is active.
     """
     _fault_poll("launch", kernel.name)
-    if use_plan:
-        plan = _lookup_plan(kernel, nd_range, force_item, device_max_wg, mode)
-        if plan is not None:
-            return plan.execute(args)
-    validate_launch(kernel, nd_range, device_max_wg)
-    stats = ExecutionStats()
-    path = _select_path(kernel, force_item, mode)
-    stats.path = path
-    tracer = current_tracer()
-    if tracer is None:
-        _run_path(kernel, nd_range, args, path, stats, None)
-    else:
-        with tracer.span(f"{kernel.name}:{path}", "kernel-form",
-                         kernel=kernel.name, path=path):
-            _run_path(kernel, nd_range, args, path, stats, tracer)
-        _note_execution_metrics(stats)
-    return stats
-
-
-def _run_path(kernel: KernelSpec, nd_range: NdRange, args: tuple, path: str,
-              stats: ExecutionStats, tracer) -> None:
-    """Execute one selected path, accumulating into ``stats``."""
-    if path == "vector":
-        kernel.vector_fn(nd_range, *args)
-        stats.groups = nd_range.num_groups()
-        stats.items = nd_range.total_items()
-        return
-
-    local_accessors = [a for a in args if isinstance(a, LocalAccessor)]
-    group_size = nd_range.group_size()
-
-    if path == "group":
-        group_fn = kernel.group_fn
-        is_generator = inspect.isgeneratorfunction(group_fn)
-        for gid in _point_grid(nd_range.group_range().dims):
-            group = Group(gid, nd_range)
-            for acc in local_accessors:
-                acc._begin_group()
-            stats.groups += 1
-            stats.items += group_size
-            if is_generator:
-                _advance_barrier_phases(kernel, (group_fn(group, *args),),
-                                        stats, tracer=tracer)
-            else:
-                group_fn(group, *args)
-            for acc in local_accessors:
-                acc._end_group()
-        return
-
-    item_fn = kernel.item_fn
-    is_generator = inspect.isgeneratorfunction(item_fn)
-    for gid, coords in _nd_lattice(nd_range.global_range.dims,
-                                   nd_range.local_range.dims):
-        group = Group(gid, nd_range)
-        for acc in local_accessors:
-            acc._begin_group()
-        stats.groups += 1
-        stats.items += group_size
-
-        if not is_generator:
-            for glob, lid in coords:
-                item_fn(NdItem(glob, lid, group), *args)
-        else:
-            _advance_barrier_phases(
-                kernel,
-                [item_fn(NdItem(glob, lid, group), *args)
-                 for glob, lid in coords],
-                stats,
-                tracer=tracer,
-            )
-
-        for acc in local_accessors:
-            acc._end_group()
+    plan = _lookup_plan(kernel, nd_range, force_item, device_max_wg, mode)
+    return plan.execute(args)
 
 
 def _note_execution_metrics(stats: ExecutionStats) -> None:

@@ -15,9 +15,7 @@ an immutable :class:`LaunchPlan`:
 * the selected execution path and the validated work-group limits;
 * references to the memoized point grid / group lattice of the range;
 * ``inspect``-derived facts — whether the chosen form is a generator,
-  and its argument arity (the binding order of ``(index, *args)``);
-* a barrier-phase schedule, recorded by the plan's first strict
-  execution and reused for introspection and stats accounting.
+  and its argument arity (the binding order of ``(index, *args)``).
 
 Subsequent launches of the same tuple execute through the plan with
 zero re-inspection; plans also keep a **thread-local pool** of ``Group``
@@ -28,6 +26,9 @@ rebuilt on every launch of a steady-state wavefront.
 Plans live in a process-wide LRU cache mirroring the executor's lattice
 caches — :func:`plan_cache_info` / :func:`clear_plan_caches` — and are
 shared by every ``Queue`` and every harness ``pool_map`` worker thread.
+A plan is the only way a kernel runs: at cache capacity 0
+(:func:`set_plan_cache_limit`) every launch compiles a throwaway plan,
+which is the cold first-launch path.
 With a tracer installed, compilation emits a ``plan.compile`` span,
 warm launches emit ``plan.hit`` spans, and the ``plan.*`` metrics show
 the amortization (see ``docs/performance.md``).
@@ -58,7 +59,6 @@ from __future__ import annotations
 import inspect
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 
 from ..common.errors import KernelLaunchError
 from ..trace.metrics import registry as _metrics
@@ -70,8 +70,6 @@ from .executor import (
     _nd_lattice,
     _note_execution_metrics,
     _point_grid,
-    _run_path,
-    _select_path,
     validate_launch,
 )
 from .kernel import KernelSpec
@@ -92,8 +90,6 @@ __all__ = [
     "clear_plan_caches",
     "set_plan_cache_limit",
     "plan_pool_stats",
-    "plans_disabled",
-    "plans_enabled",
 ]
 
 
@@ -104,33 +100,10 @@ __all__ = [
 _CACHE: "OrderedDict[tuple, LaunchPlan]" = OrderedDict()
 _LOCK = threading.Lock()
 _MAXSIZE = 256
-_ENABLED = True
 _HITS = 0
 _MISSES = 0
 _COMPILES = 0
 _EVICTIONS = 0
-
-
-def plans_enabled() -> bool:
-    """Whether launches route through the plan cache (see
-    :func:`plans_disabled`)."""
-    return _ENABLED
-
-
-@contextmanager
-def plans_disabled():
-    """Execute a block through the un-planned legacy launch path.
-
-    Process-wide switch, meant for benchmarks and differential tests
-    that compare planned against un-planned execution.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 def plan_cache_info() -> dict:
@@ -189,10 +162,10 @@ def plan_pool_stats() -> dict:
         poolable_groups += plan.num_groups
         if plan.local_mem_reuse:
             local_mem_reuse_plans += 1
-        groups = getattr(plan._tls, "groups", None)
-        if groups is not None:
+        pairs = getattr(plan._tls, "pairs", None)
+        if pairs is not None:
             pooled_plans += 1
-            materialized_groups += len(groups)
+            materialized_groups += len(pairs)
     return {
         "plans": len(plans),
         "pooled_plans": pooled_plans,
@@ -203,11 +176,15 @@ def plan_pool_stats() -> dict:
 
 
 def set_plan_cache_limit(maxsize: int) -> int:
-    """Bound the LRU cache at ``maxsize`` plans; returns the old bound."""
+    """Bound the LRU cache at ``maxsize`` plans; returns the old bound.
+
+    ``0`` turns caching off: every launch then compiles a plan that is
+    never inserted, so every launch takes the first-launch path.
+    """
     global _MAXSIZE
     with _LOCK:
         previous = _MAXSIZE
-        _MAXSIZE = max(1, int(maxsize))
+        _MAXSIZE = max(0, int(maxsize))
         while len(_CACHE) > _MAXSIZE:
             _evict_oldest_locked()
     return previous
@@ -242,19 +219,14 @@ def _plan_key(kernel: KernelSpec, nd_range: NdRange, force_item: bool,
 
 def get_plan(kernel: KernelSpec, nd_range: NdRange, *,
              force_item: bool = False, device_max_wg: int | None = None,
-             mode: str | None = None, grid: bool = False
-             ) -> "LaunchPlan | None":
+             mode: str | None = None, grid: bool = False) -> "LaunchPlan":
     """The cached plan for one launch shape, compiling it on first use.
 
-    Returns ``None`` inside a :func:`plans_disabled` block.  Invalid
-    launch configurations raise the same
-    :class:`~repro.common.errors.KernelLaunchError` the legacy path
-    raises — and are never cached, so every launch of a bad shape keeps
-    failing loudly.
+    Invalid launch configurations raise
+    :class:`~repro.common.errors.KernelLaunchError` — and are never
+    cached, so every launch of a bad shape keeps failing loudly.
     """
     global _HITS, _MISSES
-    if not _ENABLED:
-        return None
     mode = _normalize_mode(mode)
     key = _plan_key(kernel, nd_range, force_item, device_max_wg, mode, grid)
     with _LOCK:
@@ -299,7 +271,8 @@ def _compile_and_insert(kernel, nd_range, key, force_item, device_max_wg,
                                 grid=grid)
         _metrics.counter("plan.compiles").inc()
     with _LOCK:
-        winner = _CACHE.setdefault(key, plan)
+        # capacity 0: the plan serves this launch only
+        winner = _CACHE.setdefault(key, plan) if _MAXSIZE else plan
         if winner is plan:
             _COMPILES += 1
             while len(_CACHE) > _MAXSIZE:
@@ -307,6 +280,83 @@ def _compile_and_insert(kernel, nd_range, key, force_item, device_max_wg,
         if tracer is not None:
             _metrics.gauge("plan.cache_size").set(len(_CACHE))
     return winner
+
+
+# ---------------------------------------------------------------------------
+# Path selection
+# ---------------------------------------------------------------------------
+
+_MODES = ("vector", "group", "item", "compiled")
+
+
+def _select_path(kernel: KernelSpec, force_item: bool, mode: str | None,
+                 grid: bool) -> tuple:
+    """The execution path of one launch shape: ``(path, fallback_reason)``.
+
+    Grid-synchronized launches take the generator ``group_fn`` when
+    present, else the generator ``item_fn``.  ``mode`` pins a path;
+    ``mode="compiled"`` takes the batched tier when the kernel is
+    eligible, else its reference interpreter form with the reason it
+    fell (``fallback_reason``, ``None`` otherwise).  Auto mode picks the
+    fastest form: the whole-range vector form unless ``force_item``,
+    then the compiled tier when its batched form is exactly the
+    interpreter form auto would otherwise run (so shadow validation
+    compares against auto's own reference path), then the group form,
+    then per-item.
+    """
+    if grid:
+        if (kernel.group_fn is not None
+                and inspect.isgeneratorfunction(kernel.group_fn)):
+            return "group", None
+        if kernel.item_fn is None:
+            raise KernelLaunchError(
+                f"kernel {kernel.name!r} needs an item_fn for grid sync")
+        if not inspect.isgeneratorfunction(kernel.item_fn):
+            raise KernelLaunchError(
+                f"kernel {kernel.name!r} never synchronizes; use run_nd_range")
+        return "item", None
+    if mode == "compiled":
+        if kernel.item_fn is not None:
+            fallback = "item"
+        elif kernel.group_fn is not None:
+            fallback = "group"
+        else:
+            raise KernelLaunchError(
+                f"kernel {kernel.name!r} has no item_fn or group_fn "
+                "(mode='compiled' requested)")
+        if not vectorize_enabled():
+            # deliberate vectorize_disabled() block: not a coverage miss
+            return fallback, "vectorizer disabled"
+        form, reason = eligible_form(kernel)
+        if form is None:
+            _note_vectorize_fallback(kernel.name, reason, "static")
+            return fallback, reason
+        return "compiled", None
+    if mode is not None:
+        if mode not in _MODES:
+            raise KernelLaunchError(
+                f"unknown execution mode {mode!r}; expected one of {_MODES}")
+        if getattr(kernel, f"{mode}_fn") is None:
+            raise KernelLaunchError(
+                f"kernel {kernel.name!r} has no {mode}_fn "
+                f"(mode={mode!r} requested)")
+        return mode, None
+    if kernel.vector_fn is not None and not force_item:
+        return "vector", None
+    if not force_item and vectorize_enabled():
+        form, _reason = eligible_form(kernel)
+        interp = "group" if kernel.group_fn is not None else "item"
+        if form is not None and form == interp:
+            return "compiled", None
+    # force_item pins the faithful decomposed execution (no whole-range
+    # shortcut); within it the executor prefers the group-vectorized form.
+    if kernel.group_fn is not None:
+        return "group", None
+    if kernel.item_fn is not None:
+        return "item", None
+    raise KernelLaunchError(
+        f"kernel {kernel.name!r} has no item_fn (force_item requested)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +368,20 @@ class LaunchPlan:
 
     Compilation validates the launch (work-group attributes and device
     limit), selects the execution path, resolves the memoized index
-    lattices, and probes the chosen kernel form with :mod:`inspect` —
-    exactly the work the legacy path repeats per launch.  The compiled
-    facts are immutable; the only write-once field is the barrier-phase
-    schedule, recorded by the plan's first strict execution.
+    lattices, and probes the chosen kernel form with :mod:`inspect`.
+    The compiled facts are immutable except for the compiled tier's
+    one-way demotion (:meth:`_demote`).
 
-    ``execute`` runs one launch through the plan.  Traced launches
-    delegate to the executor's shared path runner so the span tree
-    (``launch`` → kernel-form → ``barrier-phase``) is byte-identical to
-    un-planned execution; untraced warm launches take the specialized
-    fast paths, reusing the plan's thread-local ``Group`` pool.
+    ``execute`` runs one launch through the plan, traced or not, on the
+    plan's thread-local pool of ``Group``/``NdItem`` objects.  Every
+    generator form runs through the executor's barrier-phase engine, so
+    barrier tokens and divergence are checked on every launch.
     """
 
     __slots__ = (
-        "kernel", "nd_range", "path", "grid", "is_generator", "arity",
-        "run_fn", "group_ids", "lattice", "group_size", "num_groups",
-        "total_items", "local_mem_reuse", "barrier_schedule", "compiled",
+        "kernel", "nd_range", "path", "form", "grid", "is_generator",
+        "arity", "run_fn", "group_ids", "lattice", "group_size",
+        "num_groups", "total_items", "local_mem_reuse", "compiled",
         "fallback_reason", "_tls",
     )
 
@@ -349,32 +397,18 @@ class LaunchPlan:
         #: the static ineligibility reason when compiled mode was
         #: requested, or the runtime demotion message after ``_demote``;
         #: ``None`` for compiled plans and paths that never tried
-        self.fallback_reason = None
-        if grid:
-            self.path = _select_grid_path(kernel)
-        else:
-            self.path = _select_path(kernel, force_item, mode,
-                                     allow_compiled=True)
+        self.path, self.fallback_reason = _select_path(
+            kernel, force_item, mode, grid)
         if self.path == "compiled":
             self.compiled, _reason = compile_batched(kernel, nd_range)
             if self.compiled is None:  # defensive: eligibility raced
                 self.path = "item" if kernel.item_fn is not None else "group"
                 self.fallback_reason = _reason
-        elif not grid and _normalize_mode(mode) == "compiled":
-            # compiled mode was requested but the plan landed on an
-            # interpreter tier — record why, so plan_cache_info()'s
-            # tier map can name the miss
-            if not vectorize_enabled():
-                self.fallback_reason = "vectorizer disabled"
-            else:
-                _form, _why = eligible_form(kernel)
-                if _form is None:
-                    self.fallback_reason = _why
-        # the interpreter form behind the plan: for a compiled plan this
-        # is the validation reference / demotion target
-        interp_path = (self.compiled.fallback_path
-                       if self.compiled is not None else self.path)
-        self.run_fn = getattr(kernel, f"{interp_path}_fn")
+        #: the interpreter form behind the plan: for a compiled plan the
+        #: validation reference / demotion target
+        self.form = (self.compiled.fallback_path
+                     if self.compiled is not None else self.path)
+        self.run_fn = getattr(kernel, f"{self.form}_fn")
         self.is_generator = inspect.isgeneratorfunction(self.run_fn)
         code = getattr(self.run_fn, "__code__", None)
         #: positional binding order of the kernel call: the index object
@@ -387,13 +421,8 @@ class LaunchPlan:
         self.group_ids = _point_grid(nd_range.group_range().dims)
         self.lattice = (_nd_lattice(nd_range.global_range.dims,
                                     nd_range.local_range.dims)
-                        if interp_path == "item" else None)
+                        if self.form == "item" else None)
         self.local_mem_reuse = bool(kernel.feature("local_mem_reuse"))
-        #: per-group barrier-phase counts, recorded once by the first
-        #: strict execution (``None`` until then; ``()`` for paths that
-        #: never synchronize)
-        self.barrier_schedule: tuple | None = (
-            None if self.is_generator else ())
         self._tls = threading.local()
 
     def __repr__(self) -> str:
@@ -419,43 +448,35 @@ class LaunchPlan:
             "group_size": self.group_size,
             "items": self.total_items,
             "local_mem_reuse": self.local_mem_reuse,
-            "barrier_schedule": self.barrier_schedule,
             "fallback_reason": self.fallback_reason,
         }
 
-    # -- group pooling -----------------------------------------------------
+    # -- work-group pooling ------------------------------------------------
 
-    def _groups(self) -> tuple:
-        """This thread's pooled ``Group`` objects for the plan's range.
+    def _pairs(self) -> tuple:
+        """This thread's pooled ``(group, members)`` pairs.
 
-        Pools are thread-local, so concurrent ``pool_map`` workers
-        reusing one plan never share mutable group state.  Unless the
-        kernel declares the ``local_mem_reuse`` feature (a promise that
-        every local-memory cell is written before it is read, as NW's
-        tile wavefront does), each launch sees freshly cleared local
-        memory — indistinguishable from a brand-new ``Group``.
+        ``members`` are the index objects the kernel form is called
+        with: ``(group,)`` for the group form, the group's ``NdItem``
+        objects for the per-item form.  Pools are thread-local, so
+        concurrent ``pool_map`` workers reusing one plan never share
+        mutable group state.  Unless the kernel declares the
+        ``local_mem_reuse`` feature (a promise that every local-memory
+        cell is written before it is read, as NW's tile wavefront
+        does), each launch sees freshly cleared local memory —
+        indistinguishable from a brand-new ``Group``.
         """
-        groups = getattr(self._tls, "groups", None)
-        if groups is None:
-            groups = tuple(Group(gid, self.nd_range)
-                           for gid in self.group_ids)
-            self._tls.groups = groups
-        elif not self.local_mem_reuse:
-            for group in groups:
-                if group._local_mem:
-                    group._local_mem.clear()
-        return groups
-
-    def _items(self) -> tuple:
-        """Pooled ``(group, nd_items)`` pairs for the per-item path."""
-        pairs = getattr(self._tls, "items", None)
+        pairs = getattr(self._tls, "pairs", None)
         if pairs is None:
-            groups = self._groups()
-            pairs = tuple(
-                (group, tuple(NdItem(glob, lid, group)
-                              for glob, lid in coords))
-                for group, (_, coords) in zip(groups, self.lattice))
-            self._tls.items = pairs
+            groups = [Group(gid, self.nd_range) for gid in self.group_ids]
+            if self.lattice is None:
+                pairs = tuple((group, (group,)) for group in groups)
+            else:
+                pairs = tuple(
+                    (group, tuple(NdItem(glob, lid, group)
+                                  for glob, lid in coords))
+                    for group, (_, coords) in zip(groups, self.lattice))
+            self._tls.pairs = pairs
         elif not self.local_mem_reuse:
             for group, _ in pairs:
                 if group._local_mem:
@@ -473,87 +494,51 @@ class LaunchPlan:
         stay per-launch even on a fully warm cache.
         """
         stats = ExecutionStats()
-        stats.path = self.path
+        path = stats.path = self.path
+        ck = self.compiled if path == "compiled" else None
+        if path == "compiled" and ck is None:
+            # demoted by a concurrent launch (GIL-ordered: _demote
+            # writes path before compiled, so path is final here)
+            path = stats.path = self.path
         tracer = current_tracer()
-        if self.path == "compiled":
-            return self._execute_compiled(args, stats, tracer)
-        if tracer is not None:
-            # Traced launches keep the exact legacy span structure by
-            # delegating to the shared path runner (fresh groups, the
-            # strict phase engine, per-phase spans).
-            with tracer.span(f"{self.kernel.name}:{self.path}",
-                             "kernel-form", kernel=self.kernel.name,
-                             path=self.path, **({"grid": True} if self.grid
-                                                else {})):
-                if self.grid:
-                    self._run_grid(args, stats, tracer)
-                else:
-                    _run_path(self.kernel, self.nd_range, args, self.path,
-                              stats, tracer)
-            _note_execution_metrics(stats)
+        if tracer is None:
+            self._run(ck, args, stats, None)
             return stats
-        if self.grid:
-            self._run_grid(args, stats, None)
-        elif self.path == "vector":
-            self.run_fn(self.nd_range, *args)
-            stats.groups = self.num_groups
-            stats.items = self.total_items
-        elif self.path == "group":
-            self._run_group(args, stats)
+        if ck is not None:
+            attrs = {"batched_form": ck.form, "validated": ck.validated}
         else:
-            self._run_item(args, stats)
+            attrs = {"grid": True} if self.grid else {}
+        with tracer.span(f"{self.kernel.name}:{path}", "kernel-form",
+                         kernel=self.kernel.name, path=path, **attrs):
+            self._run(ck, args, stats, tracer)
+        _note_execution_metrics(stats)
         return stats
 
-    def _execute_compiled(self, args: tuple, stats: ExecutionStats,
-                          tracer) -> ExecutionStats:
-        ck = self.compiled
-        if ck is None:  # demoted by a concurrent launch (GIL-ordered:
-            # _demote writes path before compiled, so path is final here)
-            stats.path = self.path
-            if tracer is not None:
-                with tracer.span(f"{self.kernel.name}:{self.path}",
-                                 "kernel-form", kernel=self.kernel.name,
-                                 path=self.path):
-                    _run_path(self.kernel, self.nd_range, args, self.path,
-                              stats, tracer)
-                _note_execution_metrics(stats)
-            else:
-                _run_path(self.kernel, self.nd_range, args, self.path,
-                          stats, None)
-            return stats
-        if tracer is not None:
-            with tracer.span(f"{self.kernel.name}:compiled", "kernel-form",
-                             kernel=self.kernel.name, path="compiled",
-                             batched_form=ck.form, validated=ck.validated):
-                self._run_compiled(ck, args, stats, tracer)
-            _note_execution_metrics(stats)
-        else:
-            self._run_compiled(ck, args, stats, None)
-        return stats
+    def _run(self, ck, args: tuple, stats: ExecutionStats, tracer) -> None:
+        """One launch: the batched tier with ``ck``, else the interpreter.
 
-    def _run_compiled(self, ck, args: tuple, stats: ExecutionStats,
-                      tracer) -> None:
-        """One launch of the batched tier.
-
-        First launch (``validated`` False): the batched program runs on
-        buffer *copies* while the interpreter reference form runs on the
-        real buffers; a bitwise match promotes the plan, anything else
-        permanently demotes it — the interpreter result is authoritative
-        either way, so the launch's outputs are byte-identical to the
-        interpreter by construction.  Validated launches run the batched
-        program directly; argument types the batched runtime cannot
-        represent demote *before* any buffer is touched.  Data-dependent
-        numpy errors on a validated plan (e.g. an out-of-bounds indirect
-        store) propagate, exactly as the interpreter's would mid-loop.
+        First batched launch (``validated`` False): the batched program
+        runs on buffer *copies* while the interpreter reference form
+        runs on the real buffers; a bitwise match promotes the plan,
+        anything else permanently demotes it — the interpreter result is
+        authoritative either way, so the launch's outputs are
+        byte-identical to the interpreter by construction.  Validated
+        launches run the batched program directly; argument types the
+        batched runtime cannot represent demote *before* any buffer is
+        touched.  Data-dependent numpy errors on a validated plan (e.g.
+        an out-of-bounds indirect store) propagate, exactly as the
+        interpreter's would mid-loop.
         """
+        if ck is None:
+            self._run_interp(args, stats, tracer)
+            return
         if ck.validated:
             try:
                 bound = ck.bind(args)
             except VectorizeFallback as exc:
                 self._demote(str(exc))
                 stats.path = self.path
-                _run_path(self.kernel, self.nd_range, args, self.path,
-                          stats, tracer)
+                self._run_interp(args, stats, tracer)
                 return
             phases = ck.run(bound, tracer)
             stats.groups = self.num_groups
@@ -568,14 +553,15 @@ class LaunchPlan:
         except Exception as exc:  # noqa: BLE001 — any failure demotes
             self._demote(f"{type(exc).__name__}: {exc}")
             stats.path = self.path
-            _run_path(self.kernel, self.nd_range, args, self.path,
-                      stats, tracer)
+            self._run_interp(args, stats, tracer)
             return
         # authoritative interpreter run on the real buffers
-        _run_path(self.kernel, self.nd_range, args, ck.fallback_path,
-                  stats, tracer)
+        self._run_interp(args, stats, tracer)
         if ck.buffers_match(shadow_args, args):
             ck.validated = True  # stats.path stays "compiled"
+            # a promoted plan never runs its interpreter form again:
+            # free the reference run's pooled work-groups and items
+            del self._tls.pairs
         else:
             self._demote("batched result diverged from the interpreter")
             stats.path = self.path
@@ -590,159 +576,44 @@ class LaunchPlan:
         self.path = ck.fallback_path
         self.compiled = None
 
-    def _run_group(self, args: tuple, stats: ExecutionStats) -> None:
+    def _run_interp(self, args: tuple, stats: ExecutionStats,
+                    tracer) -> None:
+        """One launch of the plan's interpreter form.
+
+        Generator forms run through the barrier-phase engine: one phase
+        set per work-group, or one over the whole grid for
+        grid-synchronized plans (local memory is then one grid-wide
+        instance).
+        """
+        fn = self.run_fn
+        kernel = self.kernel
+        stats.groups = self.num_groups
+        stats.items = self.total_items
+        if self.form == "vector":
+            fn(self.nd_range, *args)
+            return
         locals_ = [a for a in args if isinstance(a, LocalAccessor)]
-        fn = self.run_fn
-        if not self.is_generator:
-            for group in self._groups():
-                for acc in locals_:
-                    acc._begin_group()
-                fn(group, *args)
-                for acc in locals_:
-                    acc._end_group()
-            stats.groups = self.num_groups
-            stats.items = self.total_items
-            return
-        if self.barrier_schedule is None:
-            self._first_strict_group(args, stats, locals_)
-            return
-        # Warm path: the first strict execution validated the yielded
-        # tokens, so each group's independent generator is drained at
-        # full speed; counting the yields keeps the stats exact even
-        # for data-dependent phase structures.
-        phases = 0
-        advances = 0
-        for group in self._groups():
+        pairs = self._pairs()
+        if self.grid:
             for acc in locals_:
                 acc._begin_group()
-            n = 0
-            for _ in fn(group, *args):
-                n += 1
-            phases += n
-            advances += n + 1
-            for acc in locals_:
-                acc._end_group()
-        stats.groups = self.num_groups
-        stats.items = self.total_items
-        stats.barrier_phases = phases
-        stats.gen_advances = advances
-
-    def _first_strict_group(self, args, stats, locals_) -> None:
-        """First execution: the strict phase engine per group (token and
-        divergence checks), recording the barrier-phase schedule."""
-        schedule = []
-        fn = self.run_fn
-        for group in self._groups():
-            for acc in locals_:
-                acc._begin_group()
-            before = stats.barrier_phases
-            _advance_barrier_phases(self.kernel, (fn(group, *args),), stats)
-            schedule.append(stats.barrier_phases - before)
-            for acc in locals_:
-                acc._end_group()
-        stats.groups = self.num_groups
-        stats.items = self.total_items
-        self.barrier_schedule = tuple(schedule)
-
-    def _run_item(self, args: tuple, stats: ExecutionStats) -> None:
-        locals_ = [a for a in args if isinstance(a, LocalAccessor)]
-        fn = self.run_fn
-        stats.groups = self.num_groups
-        stats.items = self.total_items
-        if not self.is_generator:
-            for group, items in self._items():
-                for acc in locals_:
-                    acc._begin_group()
-                for item in items:
-                    fn(item, *args)
-                for acc in locals_:
-                    acc._end_group()
-            return
-        if self.barrier_schedule is None:
-            self._first_strict_item(args, stats, locals_)
-            return
-        # Warm path: a list-based lockstep engine.  Token types were
-        # validated by the first strict execution; the all-or-none
-        # divergence contract is still enforced every launch.
-        name = self.kernel.name
-        phases = 0
-        advances = 0
-        for group, items in self._items():
-            for acc in locals_:
-                acc._begin_group()
-            live = [fn(item, *args) for item in items]
-            while live:
-                nxt = []
-                append = nxt.append
-                for gen in live:
-                    try:
-                        next(gen)
-                    except StopIteration:
-                        continue
-                    append(gen)
-                advances += len(live)
-                if nxt:
-                    if len(nxt) != len(live):
-                        raise KernelLaunchError(
-                            f"kernel {name!r}: divergent barrier - only "
-                            f"{len(nxt)} of {len(live)} work-items "
-                            "reached it")
-                    phases += 1
-                live = nxt
-            for acc in locals_:
-                acc._end_group()
-        stats.barrier_phases = phases
-        stats.gen_advances = advances
-
-    def _first_strict_item(self, args, stats, locals_) -> None:
-        schedule = []
-        fn = self.run_fn
-        for group, items in self._items():
-            for acc in locals_:
-                acc._begin_group()
-            before = stats.barrier_phases
             _advance_barrier_phases(
-                self.kernel, [fn(item, *args) for item in items], stats)
-            schedule.append(stats.barrier_phases - before)
+                kernel,
+                [fn(m, *args) for _, members in pairs for m in members],
+                stats, grid=True, tracer=tracer)
             for acc in locals_:
                 acc._end_group()
-        self.barrier_schedule = tuple(schedule)
-
-    def _run_grid(self, args: tuple, stats: ExecutionStats, tracer) -> None:
-        """Grid-synchronized execution: barriers interlock across the
-        whole grid, so every launch runs the strict phase engine — the
-        plan amortizes selection, inspection, lattice lookups, and group
-        construction only."""
-        locals_ = [a for a in args if isinstance(a, LocalAccessor)]
-        for acc in locals_:
-            acc._begin_group()  # one grid-wide instance
-        fn = self.run_fn
-        stats.groups = self.num_groups
-        stats.items = self.total_items
-        if self.path == "group":
-            gens = [fn(group, *args) for group in self._groups()]
-        else:
-            gens = [fn(item, *args)
-                    for group, items in self._items()
-                    for item in items]
-        _advance_barrier_phases(self.kernel, gens, stats, grid=True,
-                                tracer=tracer)
-        if self.barrier_schedule is None:
-            self.barrier_schedule = (stats.barrier_phases,)
-        for acc in locals_:
-            acc._end_group()
-
-
-def _select_grid_path(kernel: KernelSpec) -> str:
-    """Path selection for grid-synchronized launches (mirrors the legacy
-    checks in :func:`~repro.sycl.executor.run_grid_synchronized`)."""
-    if (kernel.group_fn is not None
-            and inspect.isgeneratorfunction(kernel.group_fn)):
-        return "group"
-    if kernel.item_fn is None:
-        raise KernelLaunchError(
-            f"kernel {kernel.name!r} needs an item_fn for grid sync")
-    if not inspect.isgeneratorfunction(kernel.item_fn):
-        raise KernelLaunchError(
-            f"kernel {kernel.name!r} never synchronizes; use run_nd_range")
-    return "item"
+            return
+        is_generator = self.is_generator
+        for _, members in pairs:
+            for acc in locals_:
+                acc._begin_group()
+            if is_generator:
+                _advance_barrier_phases(
+                    kernel, [fn(m, *args) for m in members], stats,
+                    tracer=tracer)
+            else:
+                for m in members:
+                    fn(m, *args)
+            for acc in locals_:
+                acc._end_group()

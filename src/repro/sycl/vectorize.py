@@ -131,7 +131,7 @@ class _Ineligible(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Process-wide enable switch (mirrors plan.plans_disabled)
+# Process-wide enable switch
 # ---------------------------------------------------------------------------
 
 #: ``REPRO_VECTORIZE=0`` force-disables the compiled tier for the whole

@@ -87,22 +87,28 @@ class TestPathSelection:
 
 class TestMemoizedLattices:
     def test_repeat_launches_hit_the_cache(self):
-        # The legacy (un-planned) path re-looks the lattice up per
-        # launch and must hit the lru cache; planned launches go one
-        # better — the compiled plan holds the lattice reference, so
-        # repeats hit the plan cache and touch no lru at all.
-        from repro.sycl.plan import clear_plan_caches, plan_cache_info
+        # Cold launches (a capacity-0 plan cache compiles a plan per
+        # launch) re-look the lattice up per launch and must hit the lru
+        # cache; warm launches go one better — the cached plan holds the
+        # lattice reference, so repeats hit the plan cache and touch no
+        # lru at all.
+        from repro.sycl.plan import (clear_plan_caches, plan_cache_info,
+                                     set_plan_cache_limit)
 
         clear_execution_caches()
         clear_plan_caches()
         k = KernelSpec(name="items", item_fn=_add_item)
         out = np.zeros(16)
         nd = NdRange(Range(16), Range(4))
-        run_nd_range(k, nd, (out,), use_plan=False)
-        before = execution_cache_info()["nd_lattice"].hits
-        run_nd_range(k, nd, (out,), use_plan=False)
-        run_nd_range(k, NdRange(Range(16), Range(4)), (out,), use_plan=False)
-        after = execution_cache_info()["nd_lattice"].hits
+        previous = set_plan_cache_limit(0)
+        try:
+            run_nd_range(k, nd, (out,))
+            before = execution_cache_info()["nd_lattice"].hits
+            run_nd_range(k, nd, (out,))
+            run_nd_range(k, NdRange(Range(16), Range(4)), (out,))
+            after = execution_cache_info()["nd_lattice"].hits
+        finally:
+            set_plan_cache_limit(previous)
         assert after >= before + 2
         lattice_hits = execution_cache_info()["nd_lattice"].hits
         run_nd_range(k, nd, (out,))

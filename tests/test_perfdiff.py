@@ -24,7 +24,7 @@ REPO_BENCH = Path(__file__).resolve().parent.parent / "BENCH_executor.json"
 
 
 def _record(**overrides) -> dict:
-    """A canonical repro-bench/1 record with plausible numbers."""
+    """A canonical repro-bench/2 record with plausible numbers."""
     rec = {
         "schema": BENCH_SCHEMA,
         "quick": True,
@@ -32,9 +32,10 @@ def _record(**overrides) -> dict:
         "environment": bench_environment(),
         "nw_wavefront": {
             "launches": 15,
-            "unplanned_s": [0.020, 0.021],
+            "cold_plan_s": [0.020, 0.021],
             "warm_planned_s": [0.010, 0.011],
             "floor_s": [0.008, 0.008],
+            "dispatch_us_per_launch": 133.3,
             "overhead_ratio": 3.0,
             "wall_speedup": 1.9,
         },
@@ -64,8 +65,9 @@ def _scale_walls(rec: dict, factor: float) -> dict:
     'same machine, everything got slower/faster' shape."""
     out = copy.deepcopy(rec)
     nw = out["nw_wavefront"]
-    nw["unplanned_s"] = [v * factor for v in nw["unplanned_s"]]
+    nw["cold_plan_s"] = [v * factor for v in nw["cold_plan_s"]]
     nw["warm_planned_s"] = [v * factor for v in nw["warm_planned_s"]]
+    nw["dispatch_us_per_launch"] *= factor
     out["srad_group"]["warm_planned_s"] *= factor
     out["executor_tiers"]["compiled_s"] *= factor
     out["executor_tiers"]["apps"]["Mandelbrot"]["compiled_s"] *= factor
@@ -99,11 +101,14 @@ def test_2x_dispatch_overhead_regression_flagged():
     latest["nw_wavefront"]["warm_planned_s"] = [
         v * 2.0 for v in prev["nw_wavefront"]["warm_planned_s"]]
     latest["nw_wavefront"]["overhead_ratio"] = 1.0
+    # (warm - floor) / launches: 0.002 s -> 0.012 s over 15 launches
+    latest["nw_wavefront"]["dispatch_us_per_launch"] = 800.0
     result = compare_records(prev, latest)
     assert result.status == "regression"
     assert result.exit_code == 1
     names = {d.name for d in result.regressions}
     assert "nw_wavefront.warm_planned_s" in names
+    assert "nw_wavefront.dispatch_us_per_launch" in names
     assert "nw_wavefront.overhead_ratio" in names
     # unaffected metrics are not dragged in
     assert "figure_sweep.warm_s" not in names
@@ -193,6 +198,25 @@ def test_perfdiff_file_injected_regression(tmp_path):
     good = _write_bench(tmp_path / "good.json",
                         [prev, _scale_walls(prev, 1.03)])
     assert perfdiff(good).status == "ok"
+
+
+def test_perfdiff_compares_like_with_like(tmp_path):
+    """A quick run between two full runs does not hide a regression:
+    the latest full record is compared against the earlier full one."""
+    full = _record(quick=False)
+    quick = _record()
+    path = _write_bench(tmp_path / "mixed.json",
+                        [full, quick, _scale_walls(full, 2.0)])
+    result = perfdiff(path)
+    assert result.status == "regression", render_perfdiff(result)
+    ok = _write_bench(tmp_path / "mixed_ok.json",
+                      [full, quick, _scale_walls(full, 1.03)])
+    assert perfdiff(ok).status == "ok"
+    # nothing comparable before the latest record: skipped, with the
+    # nearest record's reason
+    lone = _write_bench(tmp_path / "lone.json", [full, quick])
+    result = perfdiff(lone)
+    assert result.status == "skipped" and "quick" in result.reason
 
 
 def test_perfdiff_file_degenerate_inputs(tmp_path):

@@ -1,10 +1,13 @@
 """Launch-plan compiler & warm-plan cache correctness.
 
 The plan layer (:mod:`repro.sycl.plan`) must be invisible except for
-speed: byte-identical outputs across the whole registry, identical
-:class:`ExecutionStats`, identical error behavior, per-launch fault
-injection, bounded memory, and safe concurrent reuse.
+speed: warm (cached) plans and cold plans (a capacity-0 cache compiles
+one per launch) give byte-identical outputs across the whole registry,
+identical :class:`ExecutionStats` and identical error behavior; faults
+stay per-launch, memory stays bounded, and concurrent reuse is safe.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,7 +21,6 @@ from repro.sycl.ndrange import FenceSpace
 from repro.sycl.plan import (
     clear_plan_caches,
     plan_cache_info,
-    plans_disabled,
     set_plan_cache_limit,
 )
 
@@ -33,6 +35,17 @@ _SCALES = {
 }
 
 
+@contextmanager
+def _cold_plans():
+    """Capacity-0 plan cache: every launch compiles a fresh plan and so
+    runs the first-launch path."""
+    previous = set_plan_cache_limit(0)
+    try:
+        yield
+    finally:
+        set_plan_cache_limit(previous)
+
+
 def _run_config(config: str):
     app = make_app(config)
     workload = app.generate(1, seed=0, scale=_SCALES[config])
@@ -42,17 +55,18 @@ def _run_config(config: str):
 
 @pytest.mark.parametrize("config", sorted(APP_FACTORIES))
 def test_goldens_byte_identical_with_plans(config):
-    """Every registry config: plans on vs plans off, byte-for-byte."""
+    """Every registry config: warm plans vs cold plans, byte-for-byte."""
     clear_plan_caches()
-    planned = _run_config(config)
-    with plans_disabled():
-        legacy = _run_config(config)
-    assert set(planned) == set(legacy)
-    for key in legacy:
-        a, b = np.asarray(planned[key]), np.asarray(legacy[key])
+    _run_config(config)  # compile (and validate) every plan
+    warm = _run_config(config)
+    with _cold_plans():
+        cold = _run_config(config)
+    assert set(warm) == set(cold)
+    for key in cold:
+        a, b = np.asarray(warm[key]), np.asarray(cold[key])
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes(), (
-            f"{config}: output {key!r} not byte-identical under plans")
+            f"{config}: output {key!r} not byte-identical on warm plans")
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +124,13 @@ class TestStatsParity:
         nd = NdRange(Range(16), Range(4))
         out_p = np.zeros(16)
         out_l = np.zeros(16)
-        # two planned runs: the warm (cache-hit) launch must report the
-        # same stats as the compile launch and the legacy path
+        # two cached runs: the warm (cache-hit) launch must report the
+        # same stats as the compile launch and a cold plan
         run_nd_range(_triple(), nd, (out_p,), mode=mode)
         warm = run_nd_range(_triple(), nd, (out_p,), mode=mode)
-        legacy = run_nd_range(_triple(), nd, (out_l,), mode=mode,
-                              use_plan=False)
-        assert _stats_tuple(warm) == _stats_tuple(legacy)
+        with _cold_plans():
+            cold = run_nd_range(_triple(), nd, (out_l,), mode=mode)
+        assert _stats_tuple(warm) == _stats_tuple(cold)
         assert plan_cache_info()["hits"] >= 1
 
     @pytest.mark.parametrize("kernel", [
@@ -130,9 +144,9 @@ class TestStatsParity:
         out_p = np.zeros(12)
         out_l = np.zeros(12)
         warm = run_nd_range(kernel, nd, (out_p,), force_item=True)
-        legacy = run_nd_range(kernel, nd, (out_l,), force_item=True,
-                              use_plan=False)
-        assert _stats_tuple(warm) == _stats_tuple(legacy)
+        with _cold_plans():
+            cold = run_nd_range(kernel, nd, (out_l,), force_item=True)
+        assert _stats_tuple(warm) == _stats_tuple(cold)
         assert out_p.tobytes() == out_l.tobytes()
         np.testing.assert_array_equal(out_p, 2)
 
@@ -144,9 +158,9 @@ class TestStatsParity:
         tot_l = np.zeros(8)
         run_grid_synchronized(k, nd, (np.zeros(8), np.zeros(8)))
         warm = run_grid_synchronized(k, nd, (np.zeros(8), tot_p))
-        legacy = run_grid_synchronized(k, nd, (np.zeros(8), tot_l),
-                                       use_plan=False)
-        assert _stats_tuple(warm) == _stats_tuple(legacy)
+        with _cold_plans():
+            cold = run_grid_synchronized(k, nd, (np.zeros(8), tot_l))
+        assert _stats_tuple(warm) == _stats_tuple(cold)
         # the grid barrier interlocks all items: every cell sees the full
         # phase-one sum
         assert tot_p.tobytes() == tot_l.tobytes()
@@ -199,15 +213,17 @@ class TestCacheBehavior:
             set_plan_cache_limit(previous)
             clear_plan_caches()
 
-    def test_disabled_means_no_cache_traffic(self):
+    def test_capacity_zero_compiles_every_launch(self):
         clear_plan_caches()
         nd = NdRange(Range(8), Range(4))
-        with plans_disabled():
+        with _cold_plans():
             out = np.zeros(8)
             run_nd_range(_triple(), nd, (out,))
             run_nd_range(_triple(), nd, (out,))
-        info = plan_cache_info()
-        assert info["size"] == 0 and info["compiles"] == 0
+            info = plan_cache_info()
+        assert info["size"] == 0 and info["hits"] == 0
+        assert info["compiles"] == 2
+        np.testing.assert_array_equal(out, 2)
 
     def test_mode_errors_identical_cold_and_warm(self):
         clear_plan_caches()
@@ -234,6 +250,30 @@ class TestCacheBehavior:
             with pytest.raises(KernelLaunchError,
                                match="divergent barrier - only 2 of 4"):
                 run_nd_range(k, nd, (np.zeros(8),), force_item=True)
+
+    @pytest.mark.parametrize("form", ["item", "group"])
+    def test_barrier_token_checked_on_warm_plans(self, form):
+        """A generator that yields something other than a barrier token
+        is rejected on every launch, not only on the plan's first."""
+        def item_fn(item, out, bad):
+            out[item.get_global_linear_id()] += 1
+            yield "not a barrier" if bad else item.barrier()
+
+        def group_fn(group, out, bad):
+            yield "not a barrier" if bad else group.barrier()
+
+        clear_plan_caches()
+        k = KernelSpec(name="token",
+                       **{f"{form}_fn": item_fn if form == "item"
+                          else group_fn})
+        nd = NdRange(Range(8), Range(4))
+        stats = run_nd_range(k, nd, (np.zeros(8), False), force_item=True)
+        assert (stats.path, stats.barrier_phases) == (form, 2)
+        for _ in range(2):  # warm plan, bad token: same error as cold
+            with pytest.raises(KernelLaunchError,
+                               match="must `yield item.barrier"):
+                run_nd_range(k, nd, (np.zeros(8), True), force_item=True)
+        assert plan_cache_info()["hits"] == 2
 
 
 class TestFaultsStayPerLaunch:
