@@ -49,10 +49,22 @@ def _assign_points(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(c2[None, :] - 2.0 * cross, axis=1).astype(np.int32)
 
 
-def _update_centers(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+def _cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster float64 sums of the points, (k, d).
+
+    One ``np.bincount`` over the flattened ``(cluster, feature)`` bins:
+    each bin accumulates its weights in float64 in point order, which is
+    the order ``np.add.at(sums, assign, points)`` adds them in, so the
+    sums are bit-equal to that formulation from zeroed sums.
+    """
     d = points.shape[1]
-    sums = np.zeros((k, d), dtype=np.float64)
-    np.add.at(sums, assign, points)
+    bins = (assign[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=points.ravel(),
+                       minlength=k * d).reshape(k, d)
+
+
+def _update_centers(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    sums = _cluster_sums(points, assign, k)
     counts = np.bincount(assign, minlength=k).astype(np.float64)
     counts[counts == 0] = 1.0
     return (sums / counts[:, None]).astype(points.dtype)
@@ -110,8 +122,11 @@ def _reset_vector(nd_range, sums, counts, k, d):
 
 
 def _accumulate_vector(nd_range, points, assign, sums, counts, n):
-    np.add.at(sums, assign[:n], points[:n])
-    np.add.at(counts, assign[:n], 1)
+    # the reset launch zeroes sums/counts first, so adding the bincount
+    # totals equals accumulating point by point
+    k = len(counts)
+    sums += _cluster_sums(points[:n], assign[:n], k)
+    counts += np.bincount(assign[:n], minlength=k)
 
 
 def _finalize_vector(nd_range, centers, sums, counts, k):

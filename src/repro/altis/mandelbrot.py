@@ -43,29 +43,45 @@ def mandelbrot_reference(width: int, height: int, max_iters: int = MAX_ITERS) ->
 
     Real-pair float32 arithmetic with the exact operation order of the
     device kernel, so the scalar per-work-item path is bit-identical.
+
+    Only live pixels are iterated: the image is flattened, and ``lanes``
+    holds the flat index of every pixel that has not escaped, with its
+    ``zx``/``zy``/``cx``/``cy`` (and the squares ``zx*zx``/``zy*zy`` the
+    escape test computed, which the next step reuses).  A pixel that
+    escapes on step ``it`` gets ``counts = it``; the arrays are compacted
+    only on steps where some pixel escaped, and the loop stops once no
+    lane is live.  ``counts`` starts at ``max_iters`` for the pixels that
+    never escape.  The vector and single-task forms call this function,
+    so it is both the kernel and the oracle.
     """
     x0, x1, y0, y1 = _VIEW
     xs = np.linspace(x0, x1, width, dtype=np.float32)
     ys = np.linspace(y0, y1, height, dtype=np.float32)
-    cx = np.broadcast_to(xs[None, :], (height, width))
-    cy = np.broadcast_to(ys[:, None], (height, width))
-    zx = np.zeros((height, width), dtype=np.float32)
-    zy = np.zeros((height, width), dtype=np.float32)
-    counts = np.zeros((height, width), dtype=np.int32)
-    active = np.ones((height, width), dtype=bool)
+    counts = np.full(height * width, max_iters, dtype=np.int32)
+    lanes = np.arange(height * width)
+    cx = np.tile(xs, height)
+    cy = np.repeat(ys, width)
+    zx = np.zeros(height * width, dtype=np.float32)
+    zy = np.zeros(height * width, dtype=np.float32)
+    zx2 = zx * zx
+    zy2 = zy * zy
     two = np.float32(2.0)
     four = np.float32(4.0)
-    for _ in range(max_iters):
-        nzx = zx * zx - zy * zy + cx
-        nzy = two * zx * zy + cy
-        zx = np.where(active, nzx, zx)
-        zy = np.where(active, nzy, zy)
-        escaped = zx * zx + zy * zy > four
-        active &= ~escaped
-        counts[active] += 1
-        if not active.any():
-            break
-    return counts
+    for it in range(max_iters):
+        zy = two * zx * zy + cy
+        zx = zx2 - zy2 + cx
+        zx2 = zx * zx
+        zy2 = zy * zy
+        escaped = zx2 + zy2 > four
+        if escaped.any():
+            counts[lanes[escaped]] = it
+            live = ~escaped
+            lanes = lanes[live]
+            if not lanes.size:
+                break
+            zx, zy, zx2, zy2 = zx[live], zy[live], zx2[live], zy2[live]
+            cx, cy = cx[live], cy[live]
+    return counts.reshape(height, width)
 
 
 def _kernel_item(item, out, width, height, max_iters):

@@ -164,21 +164,28 @@ def _block_group(group, score, sim, tile_acc, penalty, diag_idx, nb, n, block):
 
 
 def _block_vector(nd_range, score, sim, tile_acc, penalty, diag_idx, nb, n, block):
-    """Vectorized tile processing for every block on the diagonal."""
-    groups = nd_range.group_range()[0]
-    for g in range(groups):
-        bi = (min(diag_idx, nb - 1) - g) if diag_idx < nb else (nb - 1 - g)
-        bj = diag_idx - bi
-        i0, j0 = bi * block, bj * block
-        for d in range(2 * block - 1):
-            li = np.arange(max(0, d - block + 1), min(block, d + 1))
-            lj = d - li
-            ii = i0 + li + 1
-            jj = j0 + lj + 1
-            diag = score[ii - 1, jj - 1] + sim[ii - 1, jj - 1]
-            up = score[ii - 1, jj] - penalty
-            left = score[ii, jj - 1] - penalty
-            score[ii, jj] = np.maximum(diag, np.maximum(up, left))
+    """Vectorized tile processing for every block on the diagonal.
+
+    All blocks of one launch lie on the same global block anti-diagonal
+    and read only cells of earlier block diagonals, so they are
+    independent: each of the ``2*block-1`` in-tile steps runs once over
+    every block of the launch, on the blocks' cell indices concatenated
+    (``ii``/``jj``), instead of once per block.  The cells and the
+    integer operations are the same as a block-by-block sweep's.
+    """
+    g = np.arange(nd_range.group_range()[0])
+    bi = (min(diag_idx, nb - 1) - g) if diag_idx < nb else (nb - 1 - g)
+    bj = diag_idx - bi
+    i0 = (bi * block + 1)[:, None]
+    j0 = (bj * block + 1)[:, None]
+    for d in range(2 * block - 1):
+        li = np.arange(max(0, d - block + 1), min(block, d + 1))
+        ii = (i0 + li).ravel()
+        jj = (j0 + (d - li)).ravel()
+        diag = score[ii - 1, jj - 1] + sim[ii - 1, jj - 1]
+        up = score[ii - 1, jj] - penalty
+        left = score[ii, jj - 1] - penalty
+        score[ii, jj] = np.maximum(diag, np.maximum(up, left))
 
 
 class NW(AltisApp):

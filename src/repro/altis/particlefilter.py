@@ -60,17 +60,25 @@ def _make_video(frames: int, img: int, seed: int) -> tuple[np.ndarray, np.ndarra
     return video, pos
 
 
+_OFFSETS = np.array([[-1.0], [0.0], [1.0]])
+
+
 def _likelihood(video_frame: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Per-particle log-likelihood from a 3x3 sample around the guess."""
+    """Per-particle log-likelihood from a 3x3 sample around the guess.
+
+    The three column and three row indices are rounded and clipped once
+    each (rows of ``ix``/``iy``), the nine samples are gathered in one
+    step, and their terms are summed in ``dy``-outer, ``dx``-inner order.
+    """
     img = video_frame.shape[0]
+    ix = np.clip(np.round(px + _OFFSETS).astype(int), 0, img - 1)
+    iy = np.clip(np.round(py + _OFFSETS).astype(int), 0, img - 1)
+    sample = video_frame[iy[:, None], ix[None, :]].astype(np.float64)
+    # foreground model mean 200, background 40 (Rodinia-style)
+    terms = ((sample - 100.0) ** 2 - (sample - 228.0) ** 2) / 50.0
     lik = np.zeros(len(px), dtype=np.float64)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            ix = np.clip(np.round(px + dx).astype(int), 0, img - 1)
-            iy = np.clip(np.round(py + dy).astype(int), 0, img - 1)
-            sample = video_frame[iy, ix].astype(np.float64)
-            # foreground model mean 200, background 40 (Rodinia-style)
-            lik += ((sample - 100.0) ** 2 - (sample - 228.0) ** 2) / 50.0
+    for term in terms.reshape(9, -1):
+        lik += term
     return lik / 9.0
 
 
@@ -90,8 +98,8 @@ def particlefilter_reference(video: np.ndarray, n_particles: int, seed: int = 1
     estimates = np.zeros((frames, 2))
     for t in range(frames):
         # motion model + roughening noise (deterministic LCG streams)
-        px = px + 1.0 + np.array([rng.normal() for _ in range(n_particles)]) * 0.5
-        py = py + 1.5 + np.array([rng.normal() for _ in range(n_particles)]) * 0.5
+        px = px + 1.0 + rng.normals(n_particles) * 0.5
+        py = py + 1.5 + rng.normals(n_particles) * 0.5
         lik = _likelihood(video[t], px, py)
         weights = weights * np.exp(0.05 * (lik - lik.max()))
         weights /= weights.sum()
@@ -231,8 +239,8 @@ class ParticleFilter(AltisApp):
             kern = kern.with_attributes(reqd_work_group_size=(1, 1, wg),
                                         max_work_group_size=(1, 1, wg))
         for t in range(frames):
-            px = px + 1.0 + np.array([rng.normal() for _ in range(n)]) * 0.5
-            py = py + 1.5 + np.array([rng.normal() for _ in range(n)]) * 0.5
+            px = px + 1.0 + rng.normals(n) * 0.5
+            py = py + 1.5 + rng.normals(n) * 0.5
             lik = _likelihood(video[t], px, py)
             weights = weights * np.exp(0.05 * (lik - lik.max()))
             weights /= weights.sum()

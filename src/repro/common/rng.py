@@ -182,6 +182,28 @@ class LcgPark:
         u2 = self.uniform_float()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
+    def normals(self, count: int) -> np.ndarray:
+        """``count`` successive :meth:`normal` draws as a float64 array.
+
+        One tight loop with the same ``math.sqrt``/``math.log``/
+        ``math.cos`` calls and the same two state advances per draw, so
+        the values and the final ``state`` equal ``count`` calls of
+        :meth:`normal`.
+        """
+        import math
+
+        sqrt, log, cos = math.sqrt, math.log, math.cos
+        a, m, state = self.A, self.M, self.state
+        out = []
+        for _ in range(count):
+            state = (a * state) % m
+            u1 = state / m
+            state = (a * state) % m
+            u2 = state / m
+            out.append(sqrt(-2.0 * log(u1)) * cos(2.0 * math.pi * u2))
+        self.state = state
+        return np.array(out, dtype=np.float64)
+
 
 def make_rng(kind: str, seed: int = 0):
     """Factory keyed by the generator names the paper mentions."""

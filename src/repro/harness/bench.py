@@ -310,7 +310,9 @@ def bench_executor_tiers(*, scale: float = 0.016, iterations: int = 8,
     (``run_sycl`` under ``default_mode="item"`` vs ``"compiled"``),
     byte-compares their outputs, and records per-app speedups under
     ``apps`` — the perf gate for the static-loop/local-tile/builtin
-    widenings (NW, KMeans, Mandelbrot, CFD, LavaMD).
+    widenings (NW, KMeans, Mandelbrot, CFD, LavaMD).  Each app also
+    records ``vector_s``, its auto-mode run (the hand-written vector
+    forms ``repro suite`` runs), best of ``best_of``.
     """
     from ..altis.srad import Srad
     from ..sycl import NdRange, Range
@@ -394,6 +396,7 @@ def bench_executor_tiers(*, scale: float = 0.016, iterations: int = 8,
         once("compiled")  # compile + shadow-validate the plans
         app_item_s, out_item = _best(lambda: once("item"), best_of)
         app_comp_s, out_comp = _best(lambda: once("compiled"), best_of)
+        app_vec_s, _ = _best(lambda: once(None), best_of)
         for key in out_item:
             if (np.asarray(out_item[key]).tobytes()
                     != np.asarray(out_comp[key]).tobytes()):
@@ -405,6 +408,7 @@ def bench_executor_tiers(*, scale: float = 0.016, iterations: int = 8,
             "item_s": round(app_item_s, 6),
             "compiled_s": round(app_comp_s, 6),
             "compiled_vs_item": round(app_item_s / app_comp_s, 2),
+            "vector_s": round(app_vec_s, 6),
         }
 
     return {

@@ -86,6 +86,11 @@ DEFAULT_TOLERANCES: tuple = (
             higher_is_better=True, tolerance=2.0),
     Watched(("executor_tiers", "apps", "LavaMD", "compiled_vs_item"),
             higher_is_better=True, tolerance=2.0),
+    # auto-mode run times of the apps whose vector forms share their
+    # batched loops with the oracle
+    Watched(("executor_tiers", "apps", "Mandelbrot", "vector_s")),
+    Watched(("executor_tiers", "apps", "KMeans", "vector_s")),
+    Watched(("executor_tiers", "apps", "NW", "vector_s")),
     Watched(("figure_sweep", "warm_s")),
     Watched(("figure_sweep", "speedup_warm_over_cold"),
             higher_is_better=True, tolerance=2.0),

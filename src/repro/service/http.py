@@ -51,9 +51,6 @@ from .tenants import TenantQuota, TenantRegistry
 
 __all__ = ["SweepService", "serve"]
 
-#: how long ``/events?follow=1`` waits for new events before polling again
-_FOLLOW_POLL_S = 0.02
-
 
 class SweepService:
     """One service instance: tenants + job queue + HTTP server factory.
@@ -322,9 +319,10 @@ class _SweepHandler(BaseHTTPRequestHandler):
             cursor += len(events)
             if events:
                 self.wfile.flush()
-            if not follow or job.done or time.monotonic() > deadline:
+            remaining = deadline - time.monotonic()
+            if not follow or job.done or remaining <= 0:
                 break
-            time.sleep(_FOLLOW_POLL_S)
+            job.wait_events(cursor, remaining)
         # terminal drain: events emitted between the last read and the
         # done-flag flip
         for event in job.events(cursor):

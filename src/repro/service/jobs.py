@@ -220,8 +220,9 @@ class Job:
         self.finished_at: float | None = None
         self._t0 = time.monotonic()
         self._events: list[dict] = []
-        self._lock = threading.Lock()
-        self._terminal = threading.Event()
+        # guards the event log and state; notified on every event, so
+        # event followers and wait() wake on the emit instead of polling
+        self._lock = threading.Condition()
         self.emit("state", state="queued")
 
     # -- events -----------------------------------------------------------
@@ -234,6 +235,7 @@ class Job:
                      "job": self.id}
             event.update(payload)
             self._events.append(event)
+            self._lock.notify_all()
             return event
 
     def events(self, since: int = 0) -> list[dict]:
@@ -241,15 +243,24 @@ class Job:
         with self._lock:
             return list(self._events[since:])
 
+    def wait_events(self, since: int, timeout: float | None) -> None:
+        """Block until an event with ``seq >= since`` exists or the job is
+        terminal, for at most ``timeout`` seconds."""
+        with self._lock:
+            self._lock.wait_for(
+                lambda: len(self._events) > since or self.done, timeout)
+
     # -- state ------------------------------------------------------------
     def transition(self, state: str, **payload) -> None:
         if state not in STATES:
             raise InvalidParameterError(f"unknown job state {state!r}")
-        self.state = state
-        self.emit("state", state=state, **payload)
-        if state in TERMINAL_STATES:
-            self.finished_at = time.time()
-            self._terminal.set()
+        with self._lock:
+            # the state, its finish time and its event become visible
+            # together
+            self.state = state
+            if state in TERMINAL_STATES:
+                self.finished_at = time.time()
+            self.emit("state", state=state, **payload)
 
     @property
     def done(self) -> bool:
@@ -257,7 +268,8 @@ class Job:
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the job reaches a terminal state."""
-        return self._terminal.wait(timeout)
+        with self._lock:
+            return self._lock.wait_for(lambda: self.done, timeout)
 
     def snapshot(self) -> dict:
         """The job's status document (the ``GET /v1/jobs/<id>`` payload)."""

@@ -430,27 +430,6 @@ class LaunchPlan:
                 f"groups={self.num_groups}, items={self.total_items}, "
                 f"grid={self.grid})")
 
-    def describe(self) -> dict:
-        """The compiled launch-invariant facts, as plain data."""
-        return {
-            "kernel": self.kernel.name,
-            "path": self.path,
-            "compiled_form": (self.compiled.form
-                              if self.compiled is not None else None),
-            "compiled_validated": (self.compiled.validated
-                                   if self.compiled is not None else None),
-            "grid": self.grid,
-            "is_generator": self.is_generator,
-            "arity": self.arity,
-            "global_range": self.nd_range.global_range.dims,
-            "local_range": self.nd_range.local_range.dims,
-            "groups": self.num_groups,
-            "group_size": self.group_size,
-            "items": self.total_items,
-            "local_mem_reuse": self.local_mem_reuse,
-            "fallback_reason": self.fallback_reason,
-        }
-
     # -- work-group pooling ------------------------------------------------
 
     def _pairs(self) -> tuple:

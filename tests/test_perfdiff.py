@@ -45,7 +45,8 @@ def _record(**overrides) -> dict:
                            "compiled_vs_group": 1.2,
                            "apps": {
                                config: {"item_s": 0.08, "compiled_s": 0.004,
-                                        "compiled_vs_item": 20.0}
+                                        "compiled_vs_item": 20.0,
+                                        "vector_s": 0.002}
                                for config in ("NW", "KMeans", "Mandelbrot",
                                               "CFD FP32", "LavaMD")}},
         "figure_sweep": {"warm_s": 0.4, "cold_s": 10.0,
@@ -71,6 +72,8 @@ def _scale_walls(rec: dict, factor: float) -> dict:
     out["srad_group"]["warm_planned_s"] *= factor
     out["executor_tiers"]["compiled_s"] *= factor
     out["executor_tiers"]["apps"]["Mandelbrot"]["compiled_s"] *= factor
+    for config in ("Mandelbrot", "KMeans", "NW"):
+        out["executor_tiers"]["apps"][config]["vector_s"] *= factor
     out["figure_sweep"]["warm_s"] *= factor
     return out
 
@@ -141,6 +144,26 @@ def test_mandelbrot_watch_is_compiled_time():
     assert result.status == "regression"
     assert [d.name for d in result.regressions] == [
         "executor_tiers.apps.Mandelbrot.compiled_s"]
+
+
+@pytest.mark.parametrize("config", ["Mandelbrot", "KMeans", "NW"])
+def test_vector_tier_time_watched(config):
+    """The auto-mode ``vector_s`` of Mandelbrot, KMeans and NW is a
+    lower-better watch with a 1.5x band; records without it (older
+    benches) simply do not compare it."""
+    key = f"executor_tiers.apps.{config}.vector_s"
+    prev = _record()
+    assert key in extract_metrics(prev)
+    assert compare_records(prev, _record(**{key: 0.0028})).status == "ok"
+    result = compare_records(prev, _record(**{key: 0.0032}))
+    assert result.status == "regression"
+    assert [d.name for d in result.regressions] == [key]
+    older = copy.deepcopy(prev)
+    del older["executor_tiers"]["apps"][config]["vector_s"]
+    assert key not in extract_metrics(older)
+    assert compare_records(older, _record(**{key: 0.01})).status == "ok"
+    # the other apps' vector times are recorded but not watched
+    assert "executor_tiers.apps.LavaMD.vector_s" not in extract_metrics(prev)
 
 
 def test_list_timings_reduced_with_min():

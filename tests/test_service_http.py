@@ -284,3 +284,47 @@ def test_server_kill_then_restart_resumes_unfinished_cells(tmp_path):
         assert report.decode() == expected
     finally:
         svc2.shutdown(drain=False)
+
+
+def test_follower_wakes_on_terminal_emit_without_polling(tmp_path,
+                                                         monkeypatch):
+    """A follower blocked on a running job is woken by the terminal
+    ``emit`` itself: the stream never sleeps between reads."""
+    import time as _time
+
+    from repro.service import http as http_mod
+
+    class NoSleepTime:
+        """The ``time`` module as the handler sees it, minus ``sleep``."""
+
+        def __getattr__(self, name):
+            return getattr(_time, name)
+
+        @staticmethod
+        def sleep(seconds):
+            raise AssertionError(f"event stream slept {seconds} s")
+
+    monkeypatch.setattr(http_mod, "time", NoSleepTime())
+    svc = SweepService(tmp_path / "svc", workers=1)
+    svc.start()
+    try:
+        svc.queue.kill()  # nothing will run; the test drives the job
+        svc.queue._killed.clear()
+        doc = _submit(svc, "acme", configs=["Where"])
+        job = svc.queue.get(doc["id"], tenant="acme")
+        job.transition("running")
+        url = (f"{svc.url}/v1/jobs/{doc['id']}/events"
+               "?tenant=acme&follow=1&timeout=30")
+        with urlopen(url, timeout=30) as stream:
+            # both events so far arrive before the follower blocks
+            first = [json.loads(stream.readline()) for _ in range(2)]
+            assert [e["state"] for e in first] == ["queued", "running"]
+            t0 = _time.monotonic()
+            job.transition("done")
+            rest = [json.loads(line) for line in stream.read().splitlines()]
+            woke_s = _time.monotonic() - t0
+        assert [e["state"] for e in rest] == ["done"]
+        assert rest[0]["seq"] == 2
+        assert woke_s < 10.0  # the emit, not the 30 s deadline, ended it
+    finally:
+        svc.shutdown(drain=False)
